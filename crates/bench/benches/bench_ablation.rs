@@ -3,9 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use expfinder_bench::*;
 use expfinder_compress::{compress_graph, CompressionMethod};
-use expfinder_core::{
-    bounded_simulation, bounded_simulation_with, BuildOptions, EvalOptions, PlanMode, ResultGraph,
-};
+use expfinder_core::{bounded_simulation, BuildOptions, PlanMode, ResultGraph};
 
 fn bench_plan_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_mode");
@@ -13,12 +11,10 @@ fn bench_plan_modes(c: &mut Criterion) {
     let g = collab_graph(8_000, SEED);
     let q = collab_pattern();
     group.bench_function("selective", |b| {
-        b.iter(|| bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::Selective)))
+        b.iter(|| bsim_with_plan(&g, &q, PlanMode::Selective))
     });
     group.bench_function("declaration_order", |b| {
-        b.iter(|| {
-            bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::DeclarationOrder))
-        })
+        b.iter(|| bsim_with_plan(&g, &q, PlanMode::DeclarationOrder))
     });
     group.finish();
 }

@@ -16,8 +16,8 @@ use expfinder_bench::*;
 use expfinder_compress::maintain::MaintainedCompression;
 use expfinder_compress::{compress_graph, CompressionMethod};
 use expfinder_core::{
-    bounded_simulation, bounded_simulation_with, graph_simulation, rank_matches,
-    subgraph_isomorphism, BuildOptions, EvalOptions, IsoOptions, PlanMode, ResultGraph,
+    bounded_simulation, graph_simulation, rank_matches, subgraph_isomorphism, BuildOptions,
+    IsoOptions, PlanMode, ResultGraph,
 };
 use expfinder_graph::fixtures::collaboration_fig1;
 use expfinder_graph::generate::random_updates;
@@ -775,15 +775,10 @@ fn e12_ablations(opts: &Opts) {
     let reps = if opts.quick { 1 } else { 3 };
 
     // (a) plan ordering
-    let t_sel = median_of(reps, || {
-        bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::Selective))
-    });
-    let (r, _stats) = bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::Selective));
-    let t_dec = median_of(reps, || {
-        bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::DeclarationOrder))
-    });
-    let (r2, _stats2) =
-        bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::DeclarationOrder));
+    let t_sel = median_of(reps, || bsim_with_plan(&g, &q, PlanMode::Selective));
+    let (r, _stats) = bsim_with_plan(&g, &q, PlanMode::Selective);
+    let t_dec = median_of(reps, || bsim_with_plan(&g, &q, PlanMode::DeclarationOrder));
+    let (r2, _stats2) = bsim_with_plan(&g, &q, PlanMode::DeclarationOrder);
     println!(
         "plan ordering:   selective {} vs declaration {}",
         fmt_dur(t_sel),

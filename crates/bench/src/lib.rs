@@ -9,6 +9,7 @@ pub mod matchbench;
 pub mod planbench;
 pub mod servebench;
 
+use expfinder_core::{evaluate, EvalRequest, EvalStats, MatchRelation, PlanMode, Semantics};
 use expfinder_graph::generate::{
     collaboration, erdos_renyi, hierarchy, preferential_attachment, twitter_like, CollabConfig,
     HierarchyConfig, NodeSpec, TwitterConfig,
@@ -123,6 +124,16 @@ pub fn twitter_pattern() -> Pattern {
         .edge("fan", "celebrity", Bound::hops(2))
         .build()
         .expect("valid")
+}
+
+/// Sequential bounded simulation under an explicit plan mode (ablation
+/// E12).
+pub fn bsim_with_plan(g: &DiGraph, q: &Pattern, plan: PlanMode) -> (MatchRelation, EvalStats) {
+    let req = EvalRequest {
+        plan,
+        ..EvalRequest::new(Semantics::Bounded)
+    };
+    evaluate(g, q, req).expect("bounded simulation accepts every pattern")
 }
 
 /// Build a JSON object from `(key, value)` pairs — the one helper every

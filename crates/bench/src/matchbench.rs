@@ -2,9 +2,9 @@
 //!
 //! Measures **single-query sequential latency** of bounded simulation on
 //! the collab/twitter workloads under both fixpoint engines — the
-//! queue-based BFS loop (`FixpointEngine::Queue`, the pre-PR-4 path) and
-//! the delta-aware frontier engine (`FixpointEngine::Frontier`:
-//! dependency-ordered plan, direction-optimizing bitset BFS, refresh
+//! queue-based BFS loop (`naive::bounded_fixpoint_queue`, the pre-PR-4
+//! path) and the delta-aware frontier engine behind [`evaluate`]
+//! (dependency-ordered plan, direction-optimizing bitset BFS, refresh
 //! memoization, reused [`EvalScratch`], CSR snapshot) — alongside the
 //! [`EvalStats`] each produces, so the speedup is attributable:
 //! `refreshes` and `bfs_nodes_visited` drop because the dependency plan
@@ -18,9 +18,10 @@
 //! (`results_identical` in the JSON document, written to `BENCH_4.json`).
 
 use crate::{collab_graph, collab_pattern, fmt_dur, json_obj as obj, time, twitter_graph, SEED};
+use expfinder_core::naive::bounded_fixpoint_queue;
 use expfinder_core::{
-    bounded_simulation_cancellable, bounded_simulation_indexed, bounded_simulation_scratch,
-    bounded_simulation_with, CancelToken, EvalOptions, EvalScratch, EvalStats, ReachIndex,
+    candidate_sets, evaluate, CancelToken, EvalRequest, EvalScratch, EvalStats, MatchRelation,
+    PlanMode, ReachIndex, ReachProvider, Semantics,
 };
 use expfinder_graph::json::Value;
 use expfinder_graph::{CsrGraph, DiGraph, GraphView};
@@ -136,6 +137,36 @@ fn measure<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
     (times[times.len() / 2], last)
 }
 
+/// The old path: the queue-based reference loop with paper semantics,
+/// fresh allocations per query.
+fn queue_path<G: GraphView>(graph: &G, pattern: &Pattern) -> (MatchRelation, EvalStats) {
+    let (sets, stats) = bounded_fixpoint_queue(
+        graph,
+        pattern,
+        candidate_sets(graph, pattern),
+        PlanMode::Selective,
+        true,
+    );
+    (MatchRelation::from_sets(sets, graph.node_count()), stats)
+}
+
+/// The new path: sequential bounded simulation through [`evaluate`].
+fn frontier_path<G: GraphView + Sync>(
+    graph: &G,
+    pattern: &Pattern,
+    scratch: &mut EvalScratch,
+    index: Option<&dyn ReachProvider>,
+    cancel: Option<&CancelToken>,
+) -> (MatchRelation, EvalStats) {
+    let req = EvalRequest {
+        scratch: Some(scratch),
+        index,
+        cancel,
+        ..EvalRequest::new(Semantics::Bounded)
+    };
+    evaluate(graph, pattern, req).expect("bounded simulation accepts every pattern; disarmed token")
+}
+
 /// One workload's measurements.
 ///
 /// The **old path** is the pre-PR-4 sequential serving shape: queue-based
@@ -147,13 +178,11 @@ fn measure<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
 /// by every query at that version, so its (separately reported) build
 /// cost is not part of per-query latency.
 fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern, reps: usize) -> Value {
-    let (old_t, (old_m, old_stats)) = measure(reps, || {
-        bounded_simulation_with(graph, pattern, EvalOptions::queue())
-    });
+    let (old_t, (old_m, old_stats)) = measure(reps, || queue_path(graph, pattern));
     let (csr, snapshot_t) = time(|| CsrGraph::snapshot(graph));
     let mut scratch = EvalScratch::new();
     let (new_t, (new_m, new_stats)) = measure(reps, || {
-        bounded_simulation_scratch(&csr, pattern, EvalOptions::default(), &mut scratch)
+        frontier_path(&csr, pattern, &mut scratch, None, None)
     });
 
     // the deadline-aware serving shape with a *disarmed* token: every
@@ -162,15 +191,7 @@ fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern, reps: usize) -
     // `--max-cancel-overhead` gate holds the chain workload to that
     let disarmed = CancelToken::disarmed();
     let (cancel_t, _) = measure(reps, || {
-        bounded_simulation_cancellable(
-            &csr,
-            pattern,
-            EvalOptions::default(),
-            &mut scratch,
-            None,
-            Some(&disarmed),
-        )
-        .expect("disarmed token never fires")
+        frontier_path(&csr, pattern, &mut scratch, None, Some(&disarmed))
     });
     let cancel_overhead = cancel_t.as_secs_f64() / new_t.as_secs_f64().max(1e-12) - 1.0;
 
@@ -304,29 +325,16 @@ fn bench_warm_workload(
     let (csr, snapshot_t) = time(|| CsrGraph::snapshot(graph));
     let mut scratch = EvalScratch::new();
     let (pr4_t, (pr4_m, pr4_stats)) = measure(reps, || {
-        bounded_simulation_scratch(&csr, pattern, EvalOptions::default(), &mut scratch)
+        frontier_path(&csr, pattern, &mut scratch, None, None)
     });
-    let (oracle_m, _) = bounded_simulation_with(graph, pattern, EvalOptions::queue());
+    let (oracle_m, _) = queue_path(graph, pattern);
 
     let idx = ReachIndex::new(csr.version());
     let bound = idx.bind(&csr);
-    let ((cold_m, _), cold_t) = time(|| {
-        bounded_simulation_indexed(
-            &csr,
-            pattern,
-            EvalOptions::default(),
-            &mut scratch,
-            Some(&bound),
-        )
-    });
+    let ((cold_m, _), cold_t) =
+        time(|| frontier_path(&csr, pattern, &mut scratch, Some(&bound), None));
     let (warm_t, (warm_m, warm_stats)) = measure(reps, || {
-        bounded_simulation_indexed(
-            &csr,
-            pattern,
-            EvalOptions::default(),
-            &mut scratch,
-            Some(&bound),
-        )
+        frontier_path(&csr, pattern, &mut scratch, Some(&bound), None)
     });
 
     let identical = warm_m == pr4_m && warm_m == oracle_m && cold_m == warm_m;
@@ -466,7 +474,7 @@ mod tests {
         let q = twitter_chain_pattern();
         // the old path must cascade on this workload (that is what makes
         // it a memoization benchmark) ...
-        let (m_old, old) = bounded_simulation_with(&g, &q, EvalOptions::queue());
+        let (m_old, old) = queue_path(&g, &q);
         assert!(!m_old.is_empty(), "pattern matches its generator");
         assert!(
             old.refreshes > q.edge_count(),
@@ -476,7 +484,7 @@ mod tests {
             q.edge_count()
         );
         // ... and the dependency-ordered frontier path must not pay it
-        let (m_new, new) = bounded_simulation_with(&g, &q, EvalOptions::default());
+        let (m_new, new) = frontier_path(&g, &q, &mut EvalScratch::new(), None, None);
         assert_eq!(m_old, m_new);
         assert!(
             new.refreshes < old.refreshes,

@@ -225,10 +225,6 @@ impl GraphView for CompressedGraph {
     fn nodes_with_label(&self, label: Sym) -> Option<&BitSet> {
         self.labels.get(&label)
     }
-
-    fn has_label_index(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -433,7 +429,6 @@ mod tests {
             },
         );
         let c = compress_graph(&g, CompressionMethod::Bisimulation).unwrap();
-        assert!(c.has_label_index());
         // for every label present in the quotient, the index equals a scan
         for label in ["celebrity", "media", "user"] {
             let sym = match c.interner().get(label) {

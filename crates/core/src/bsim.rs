@@ -24,270 +24,53 @@
 //! "query plan": [`PlanMode::Selective`] starts from the most selective
 //! target sets, which empirically halves refresh counts (ablation E12).
 //!
-//! Two interchangeable engines compute the fixpoint
-//! ([`EvalOptions::engine`]): the default [`FixpointEngine::Frontier`]
-//! runs the delta-aware loop of [`crate::fixpoint`] (word-parallel BFS,
-//! refresh memoization, dirty-counter skipping, reusable
-//! [`EvalScratch`]); [`FixpointEngine::Queue`] is the original
-//! queue-based loop, kept verbatim as the correctness oracle and the
-//! benchmark baseline. Both compute the same greatest fixpoint
+//! The fixpoint runs on the delta-aware loop of [`crate::fixpoint`]
+//! (word-parallel BFS, refresh memoization, dirty-counter skipping,
+//! reusable [`EvalScratch`]); [`crate::evaluate`] also runs it in
+//! parallel. The original queue-based loop is kept as
+//! [`crate::naive::bounded_fixpoint_queue`], the correctness oracle and
+//! benchmark baseline; both compute the same greatest fixpoint
 //! bit-for-bit (property-tested).
 
-use crate::fixpoint::{refine_constraints, Cancelled, Constraint, EvalScratch, IndexCtx};
+use crate::eval::{constraints, evaluate_sequential, EvalRequest, EvalStats, PlanMode, Semantics};
+use crate::fixpoint::{refine_constraints, Cancelled, EvalScratch};
 use crate::matchrel::MatchRelation;
-use crate::{candidate_sets, candidate_sets_classed};
-use expfinder_graph::bfs::{BfsScratch, Direction};
-use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider};
+use expfinder_graph::{BitSet, CancelToken, GraphView};
 use expfinder_pattern::Pattern;
-
-/// Refresh-order heuristic ("query plan").
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// Process pattern edges with the smallest target candidate sets first.
-    #[default]
-    Selective,
-    /// Process pattern edges in declaration order (baseline for E12).
-    DeclarationOrder,
-}
-
-/// Which fixpoint loop evaluates the refinement.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum FixpointEngine {
-    /// Delta-aware frontier engine: direction-optimizing bitset BFS,
-    /// per-edge reach memoization, dirty-counter refresh skipping.
-    #[default]
-    Frontier,
-    /// The original queue-based multi-source BFS loop — the oracle the
-    /// frontier engine is property-tested against, and the "old path" of
-    /// the `bench_match` comparison.
-    Queue,
-}
-
-/// Evaluation options.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct EvalOptions {
-    pub plan: PlanMode,
-    pub engine: FixpointEngine,
-}
-
-impl EvalOptions {
-    /// Default engine with an explicit plan mode.
-    pub fn with_plan(plan: PlanMode) -> EvalOptions {
-        EvalOptions {
-            plan,
-            ..EvalOptions::default()
-        }
-    }
-
-    /// The queue-based oracle engine with the default plan.
-    pub fn queue() -> EvalOptions {
-        EvalOptions {
-            engine: FixpointEngine::Queue,
-            ..EvalOptions::default()
-        }
-    }
-}
-
-/// Counters describing how much work one evaluation did.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct EvalStats {
-    /// Number of per-edge refreshes (reach-set computations).
-    pub refreshes: usize,
-    /// Total candidate removals across all pattern nodes.
-    pub removals: usize,
-    /// Queued refreshes skipped because the seed set had not shrunk since
-    /// the constraint's last refresh (frontier engine only).
-    pub refreshes_skipped: usize,
-    /// Nodes marked visited across all reach traversals — the traversal
-    /// work the refresh memoization exists to cut.
-    pub bfs_nodes_visited: usize,
-    /// First refreshes served from a per-snapshot
-    /// [`ReachIndex`](expfinder_graph::ReachIndex) entry instead of a BFS
-    /// (indexed evaluations only — zero without a provider).
-    pub index_hits: usize,
-    /// First refreshes that consulted the provider but fell back to the
-    /// BFS (the seed set was not a full label class, or the view has no
-    /// class for the label). Zero without a provider.
-    pub index_misses: usize,
-}
 
 /// Compute the maximum bounded simulation `M(Q,G)` with default options.
 pub fn bounded_simulation<G: GraphView>(
     g: &G,
     q: &Pattern,
 ) -> Result<MatchRelation, crate::MatchError> {
-    Ok(bounded_simulation_with(g, q, EvalOptions::default()).0)
+    evaluate_sequential(g, q, EvalRequest::new(Semantics::Bounded)).map(|(m, _)| m)
 }
 
-/// Compute `M(Q,G)` with explicit options; also returns work counters.
-pub fn bounded_simulation_with<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-) -> (MatchRelation, EvalStats) {
-    let sim = candidate_sets(g, q);
-    bounded_fixpoint(g, q, sim, opts)
-}
-
-/// Compute `M(Q,G)` against a caller-owned [`EvalScratch`] — the
-/// allocation-free path serving workers use: the scratch's BFS frontiers,
-/// reach caches and queues are reused across calls.
-pub fn bounded_simulation_scratch<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-    scratch: &mut EvalScratch,
-) -> (MatchRelation, EvalStats) {
-    bounded_simulation_indexed(g, q, opts, scratch, None)
-}
-
-/// [`bounded_simulation_scratch`] consulting a per-snapshot
-/// [`ReachProvider`] before class-seeded first refreshes fall back to
-/// BFS — the engine's warm serving path. With `index = None` this *is*
-/// [`bounded_simulation_scratch`]. The provider must be bound to the same
-/// snapshot as `g`; results are bit-identical either way (the entry is
-/// exactly the BFS answer), only `EvalStats::index_hits` and the
-/// traversal work change.
-pub fn bounded_simulation_indexed<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-    scratch: &mut EvalScratch,
-    index: Option<&dyn ReachProvider>,
-) -> (MatchRelation, EvalStats) {
-    match bounded_simulation_cancellable(g, q, opts, scratch, index, None) {
-        Ok(r) => r,
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
-}
-
-/// [`bounded_simulation_indexed`] polling a [`CancelToken`] at every
-/// refresh boundary — the deadline-aware serving path. A fired token
-/// aborts with [`Cancelled`] carrying the partial [`EvalStats`]; the
-/// scratch and any shared index stay sound for the next query (an
-/// aborted refresh is surfaced before its reach set is cached or
-/// applied, and the scratch restamps its caches on the next evaluation).
-pub fn bounded_simulation_cancellable<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-    scratch: &mut EvalScratch,
-    index: Option<&dyn ReachProvider>,
-    cancel: Option<&CancelToken>,
-) -> Result<(MatchRelation, EvalStats), Cancelled> {
-    let n = g.node_count();
-    let (sim, classes) = candidate_sets_classed(g, q);
-    let (sets, stats) =
-        bounded_fixpoint_classed(g, q, sim, opts, true, scratch, &classes, index, cancel)?;
-    Ok((MatchRelation::from_sets(sets, n), stats))
-}
-
-/// The refinement fixpoint with paper semantics (early exit when a pattern
-/// node dies, collapse to the empty relation).
+/// The raw refinement fixpoint from caller-supplied starting sets — the
+/// path the incremental module builds its state through. With
+/// `early_exit` the computation stops as soon as any pattern node has no
+/// matches and every set is cleared (paper semantics: M(Q,G) = ∅);
+/// without it, the exact raw GFP is computed — the incremental module
+/// persists that as its state. A fired `cancel` token aborts with
+/// [`Cancelled`]; the partially refined sets are dropped and nothing
+/// durable was mutated.
 pub fn bounded_fixpoint<G: GraphView>(
     g: &G,
     q: &Pattern,
-    sim: Vec<BitSet>,
-    opts: EvalOptions,
-) -> (MatchRelation, EvalStats) {
-    let n = g.node_count();
-    let (sets, stats) = bounded_fixpoint_raw(g, q, sim, opts, true);
-    (MatchRelation::from_sets(sets, n), stats)
-}
-
-/// The raw refinement fixpoint. With `early_exit` the computation stops as
-/// soon as any pattern node has no matches (cheaper, but the returned sets
-/// are then only *some* under-approximation of the true greatest fixpoint
-/// for the other nodes); without it, the exact raw GFP is computed — the
-/// incremental module persists that as its state.
-pub fn bounded_fixpoint_raw<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    sim: Vec<BitSet>,
-    opts: EvalOptions,
-    early_exit: bool,
-) -> (Vec<BitSet>, EvalStats) {
-    match opts.engine {
-        FixpointEngine::Queue => bounded_fixpoint_queue(g, q, sim, opts, early_exit),
-        FixpointEngine::Frontier => {
-            let mut scratch = EvalScratch::new();
-            bounded_fixpoint_scratch(g, q, sim, opts, early_exit, &mut scratch)
-        }
-    }
-}
-
-/// [`bounded_fixpoint_raw`] on the frontier engine with caller-owned
-/// scratch (the `opts.engine` field is ignored — this *is* the frontier
-/// path).
-pub fn bounded_fixpoint_scratch<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    sim: Vec<BitSet>,
-    opts: EvalOptions,
-    early_exit: bool,
-    scratch: &mut EvalScratch,
-) -> (Vec<BitSet>, EvalStats) {
-    match bounded_fixpoint_classed(g, q, sim, opts, early_exit, scratch, &[], None, None) {
-        Ok(r) => r,
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
-}
-
-/// [`bounded_fixpoint_scratch`] polling a [`CancelToken`] — the
-/// cancellable raw-fixpoint path the incremental module builds its
-/// initial state through. On abort the partially refined sets are
-/// dropped by the caller; nothing durable was mutated.
-#[allow(clippy::type_complexity)]
-pub fn bounded_fixpoint_cancellable<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    sim: Vec<BitSet>,
-    opts: EvalOptions,
-    early_exit: bool,
-    scratch: &mut EvalScratch,
-    cancel: Option<&CancelToken>,
-) -> Result<(Vec<BitSet>, EvalStats), Cancelled> {
-    bounded_fixpoint_classed(g, q, sim, opts, early_exit, scratch, &[], None, cancel)
-}
-
-/// The frontier fixpoint with the reach-index hook: `classes` marks which
-/// candidate sets were seeded as full label classes (empty slice = no
-/// markers), `index` is the per-snapshot provider (None = plain BFS).
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn bounded_fixpoint_classed<G: GraphView>(
-    g: &G,
-    q: &Pattern,
     mut sim: Vec<BitSet>,
-    opts: EvalOptions,
     early_exit: bool,
     scratch: &mut EvalScratch,
-    classes: &[Option<expfinder_graph::Sym>],
-    index: Option<&dyn ReachProvider>,
     cancel: Option<&CancelToken>,
 ) -> Result<(Vec<BitSet>, EvalStats), Cancelled> {
-    let constraints: Vec<Constraint> = q
-        .edges()
-        .iter()
-        .map(|e| Constraint {
-            constrained: e.from,
-            seeds: e.to,
-            depth: e.bound.depth(),
-            dir: Direction::Backward,
-        })
-        .collect();
-    let ictx = index.map(|provider| IndexCtx {
-        provider,
-        class_of: classes,
-    });
     let (died, stats) = refine_constraints(
         g,
         q.node_count(),
-        &constraints,
+        &constraints(q, Semantics::Bounded),
         &mut sim,
-        opts.plan,
+        PlanMode::Selective,
         early_exit,
         scratch,
-        ictx,
+        None,
         cancel,
     )?;
     if died {
@@ -299,78 +82,39 @@ fn bounded_fixpoint_classed<G: GraphView>(
     Ok((sim, stats))
 }
 
-/// The original queue-based fixpoint — the [`FixpointEngine::Queue`]
-/// oracle.
-fn bounded_fixpoint_queue<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    mut sim: Vec<BitSet>,
-    opts: EvalOptions,
-    early_exit: bool,
-) -> (Vec<BitSet>, EvalStats) {
-    let n = g.node_count();
-    let ne = q.edge_count();
-    let mut stats = EvalStats::default();
-
-    if ne == 0 {
-        return (sim, stats);
-    }
-
-    // initial processing order = the "query plan"
-    let mut order: Vec<usize> = (0..ne).collect();
-    if opts.plan == PlanMode::Selective {
-        order.sort_by_key(|&ei| sim[q.edges()[ei].to.index()].count());
-    }
-
-    let mut in_queue = vec![true; ne];
-    let mut queue: std::collections::VecDeque<usize> = order.into_iter().collect();
-
-    let mut scratch = BfsScratch::new();
-    let mut reach = BitSet::new(n);
-
-    while let Some(ei) = queue.pop_front() {
-        in_queue[ei] = false;
-        let e = &q.edges()[ei];
-        let (u, t, depth) = (e.from, e.to, e.bound.depth());
-
-        stats.refreshes += 1;
-        stats.bfs_nodes_visited +=
-            scratch.multi_source_within(g, &sim[t.index()], depth, Direction::Backward, &mut reach);
-
-        let before = sim[u.index()].count();
-        sim[u.index()].intersect_with(&reach);
-        let after = sim[u.index()].count();
-
-        if after < before {
-            stats.removals += before - after;
-            if after == 0 && early_exit {
-                // some pattern node became unmatchable: M(Q,G) = ∅
-                for s in &mut sim {
-                    s.clear();
-                }
-                return (sim, stats);
-            }
-            // sim(u) shrank: every edge whose *target* is u must re-check
-            for &in_ei in q.in_edge_indices(u) {
-                let in_ei = in_ei as usize;
-                if !in_queue[in_ei] {
-                    in_queue[in_ei] = true;
-                    queue.push_back(in_ei);
-                }
-            }
-        }
-    }
-
-    (sim, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::bounded_fixpoint_queue;
+    use crate::{candidate_sets, evaluate};
     use expfinder_graph::fixtures::collaboration_fig1;
-    use expfinder_graph::DiGraph;
+    use expfinder_graph::{DiGraph, ReachProvider};
     use expfinder_pattern::fixtures::fig1_pattern;
     use expfinder_pattern::{Bound, PatternBuilder, Predicate};
+
+    /// Sequential bounded simulation through [`evaluate`].
+    fn bsim<G: GraphView + Sync>(
+        g: &G,
+        q: &Pattern,
+        plan: PlanMode,
+        scratch: &mut EvalScratch,
+        index: Option<&dyn ReachProvider>,
+    ) -> (MatchRelation, EvalStats) {
+        let req = EvalRequest {
+            plan,
+            scratch: Some(scratch),
+            index,
+            ..EvalRequest::new(Semantics::Bounded)
+        };
+        evaluate(g, q, req).unwrap()
+    }
+
+    /// The queue oracle with paper semantics.
+    fn queue_oracle<G: GraphView>(g: &G, q: &Pattern) -> (MatchRelation, EvalStats) {
+        let (sets, stats) =
+            bounded_fixpoint_queue(g, q, candidate_sets(g, q), PlanMode::Selective, true);
+        (MatchRelation::from_sets(sets, g.node_count()), stats)
+    }
 
     #[test]
     fn paper_example1_match_set() {
@@ -534,14 +278,13 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(17);
         let spec = NodeSpec::uniform(4, 5);
+        let mut scratch = EvalScratch::new();
         for trial in 0..10 {
             let g = erdos_renyi(&mut rng, 60, 300, &spec);
             let cfg = PatternConfig::new(PatternShape::Dag, 5, spec.labels.clone());
             let q = random_pattern(&mut rng, &cfg);
-            let (m1, _) =
-                bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::Selective));
-            let (m2, _) =
-                bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::DeclarationOrder));
+            let (m1, _) = bsim(&g, &q, PlanMode::Selective, &mut scratch, None);
+            let (m2, _) = bsim(&g, &q, PlanMode::DeclarationOrder, &mut scratch, None);
             assert_eq!(m1, m2, "trial {trial}: plans change cost, never results");
         }
     }
@@ -550,17 +293,17 @@ mod tests {
     fn stats_are_populated() {
         let f = collaboration_fig1();
         let q = fig1_pattern();
-        let (_, stats) = bounded_simulation_with(&f.graph, &q, EvalOptions::default());
+        let mut scratch = EvalScratch::new();
+        let (_, stats) = bsim(&f.graph, &q, PlanMode::Selective, &mut scratch, None);
         assert!(stats.refreshes >= q.edge_count());
         assert!(stats.bfs_nodes_visited > 0);
-        let (_, old) = bounded_simulation_with(&f.graph, &q, EvalOptions::queue());
+        let (_, old) = queue_oracle(&f.graph, &q);
         assert!(old.refreshes >= q.edge_count());
         assert!(old.bfs_nodes_visited >= stats.bfs_nodes_visited);
     }
 
     #[test]
     fn engines_agree_and_scratch_is_reusable() {
-        use crate::fixpoint::EvalScratch;
         use expfinder_graph::generate::{erdos_renyi, NodeSpec};
         use expfinder_pattern::generate::{random_pattern, PatternConfig, PatternShape};
         use rand::rngs::StdRng;
@@ -575,8 +318,8 @@ mod tests {
             cfg.bound_range = (1, 3);
             cfg.extra_edges = 2;
             let q = random_pattern(&mut rng, &cfg);
-            let (old, _) = bounded_simulation_with(&g, &q, EvalOptions::queue());
-            let (new, _) = bounded_simulation_scratch(&g, &q, EvalOptions::default(), &mut scratch);
+            let (old, _) = queue_oracle(&g, &q);
+            let (new, _) = bsim(&g, &q, PlanMode::Selective, &mut scratch, None);
             assert_eq!(old, new, "trial {trial}: engines diverged");
         }
     }
@@ -599,19 +342,13 @@ mod tests {
             .build()
             .unwrap();
         let mut scratch = EvalScratch::new();
-        let (plain, base) =
-            bounded_simulation_scratch(&csr, &q, EvalOptions::default(), &mut scratch);
+        let plan = PlanMode::Selective;
+        let (plain, base) = bsim(&csr, &q, plan, &mut scratch, None);
         assert_eq!(base.index_hits, 0, "no provider, no hits");
 
         let idx = ReachIndex::new(csr.version());
         let bound = idx.bind(&csr);
-        let (cold, s1) = bounded_simulation_indexed(
-            &csr,
-            &q,
-            EvalOptions::default(),
-            &mut scratch,
-            Some(&bound),
-        );
+        let (cold, s1) = bsim(&csr, &q, plan, &mut scratch, Some(&bound));
         assert_eq!(cold, plain, "index never changes results");
         assert_eq!(s1.index_hits, 2, "both first refreshes are class-seeded");
         assert_eq!(s1.index_misses, 0);
@@ -619,13 +356,7 @@ mod tests {
 
         // warm query: entries are reused, and the class-seeded traversal
         // work disappears entirely
-        let (warm, s2) = bounded_simulation_indexed(
-            &csr,
-            &q,
-            EvalOptions::default(),
-            &mut scratch,
-            Some(&bound),
-        );
+        let (warm, s2) = bsim(&csr, &q, plan, &mut scratch, Some(&bound));
         assert_eq!(warm, plain);
         assert_eq!(s2.index_hits, 2);
         assert!(s2.bfs_nodes_visited < base.bfs_nodes_visited);
@@ -640,15 +371,8 @@ mod tests {
             .edge("sa", "sd", Bound::hops(2))
             .build()
             .unwrap();
-        let (with_idx, s3) = bounded_simulation_indexed(
-            &csr,
-            &q2,
-            EvalOptions::default(),
-            &mut scratch,
-            Some(&bound),
-        );
-        let (without, _) =
-            bounded_simulation_scratch(&csr, &q2, EvalOptions::default(), &mut scratch);
+        let (with_idx, s3) = bsim(&csr, &q2, plan, &mut scratch, Some(&bound));
+        let (without, _) = bsim(&csr, &q2, plan, &mut scratch, None);
         assert_eq!(with_idx, without);
         assert_eq!(
             s3.index_misses, 1,

@@ -9,7 +9,8 @@
 //! the right downstream structure, at the same asymptotic cost.
 //!
 //! The implementation generalizes the refinement fixpoint of
-//! [`crate::bsim`]: every pattern edge contributes two constraints —
+//! [`crate::bsim`] ([`crate::evaluate`] with [`Semantics::Dual`]): every
+//! pattern edge contributes two constraints —
 //! a forward one on `sim(from)` (reverse bounded BFS from `sim(to)`) and a
 //! backward one on `sim(to)` (forward bounded BFS from `sim(from)`).
 //!
@@ -17,185 +18,17 @@
 //! bounded-simulation result, and on the paper's Fig. 1 both coincide —
 //! the hiring team is "dual-clean".
 
-use crate::bsim::{EvalOptions, EvalStats, FixpointEngine};
-use crate::fixpoint::{refine_constraints, Cancelled, Constraint, EvalScratch, IndexCtx};
+use crate::eval::{evaluate_sequential, EvalRequest, Semantics};
 use crate::matchrel::MatchRelation;
-use crate::{candidate_sets, candidate_sets_classed};
-use expfinder_graph::bfs::{BfsScratch, Direction};
-use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider};
+use expfinder_graph::GraphView;
 use expfinder_pattern::Pattern;
 
 /// Compute the maximum bounded **dual** simulation relation.
 pub fn dual_simulation<G: GraphView>(g: &G, q: &Pattern) -> MatchRelation {
-    dual_simulation_with(g, q, EvalOptions::default()).0
-}
-
-/// [`dual_simulation`] with explicit options (plan + fixpoint engine);
-/// also returns work counters.
-pub fn dual_simulation_with<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-) -> (MatchRelation, EvalStats) {
-    match opts.engine {
-        FixpointEngine::Queue => dual_fixpoint_queue(g, q),
-        FixpointEngine::Frontier => {
-            let mut scratch = EvalScratch::new();
-            dual_simulation_scratch(g, q, opts, &mut scratch)
-        }
+    match evaluate_sequential(g, q, EvalRequest::new(Semantics::Dual)) {
+        Ok((m, _)) => m,
+        Err(e) => unreachable!("dual simulation accepts every pattern: {e}"),
     }
-}
-
-/// [`dual_simulation`] on the frontier engine against a caller-owned
-/// [`EvalScratch`] — the allocation-free serving path. Every pattern edge
-/// contributes two constraints (forward child-support, backward
-/// parent-support); both flow through the same delta-aware refinement as
-/// bounded simulation.
-pub fn dual_simulation_scratch<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-    scratch: &mut EvalScratch,
-) -> (MatchRelation, EvalStats) {
-    dual_simulation_indexed(g, q, opts, scratch, None)
-}
-
-/// [`dual_simulation_scratch`] consulting a per-snapshot
-/// [`ReachProvider`] before class-seeded first refreshes fall back to
-/// BFS. Both constraint directions of every pattern edge are eligible —
-/// the index is keyed by direction. With `index = None` this *is*
-/// [`dual_simulation_scratch`]; results are bit-identical either way.
-pub fn dual_simulation_indexed<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-    scratch: &mut EvalScratch,
-    index: Option<&dyn ReachProvider>,
-) -> (MatchRelation, EvalStats) {
-    match dual_simulation_cancellable(g, q, opts, scratch, index, None) {
-        Ok(r) => r,
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
-}
-
-/// [`dual_simulation_indexed`] polling a [`CancelToken`] at every refresh
-/// boundary — aborts with [`Cancelled`] carrying partial [`EvalStats`]
-/// once the token fires, leaving scratch and index sound.
-pub fn dual_simulation_cancellable<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-    scratch: &mut EvalScratch,
-    index: Option<&dyn ReachProvider>,
-    cancel: Option<&CancelToken>,
-) -> Result<(MatchRelation, EvalStats), Cancelled> {
-    let n = g.node_count();
-    let ne = q.edge_count();
-    let (mut sim, classes) = candidate_sets_classed(g, q);
-    if ne == 0 {
-        return Ok((MatchRelation::from_sets(sim, n), EvalStats::default()));
-    }
-    let mut constraints = Vec::with_capacity(ne * 2);
-    for e in q.edges() {
-        constraints.push(Constraint {
-            constrained: e.from,
-            seeds: e.to,
-            depth: e.bound.depth(),
-            dir: Direction::Backward,
-        });
-        constraints.push(Constraint {
-            constrained: e.to,
-            seeds: e.from,
-            depth: e.bound.depth(),
-            dir: Direction::Forward,
-        });
-    }
-    let ictx = index.map(|provider| IndexCtx {
-        provider,
-        class_of: &classes,
-    });
-    let (died, stats) = refine_constraints(
-        g,
-        q.node_count(),
-        &constraints,
-        &mut sim,
-        opts.plan,
-        true,
-        scratch,
-        ictx,
-        cancel,
-    )?;
-    if died {
-        return Ok((MatchRelation::empty(q, n), stats));
-    }
-    Ok((MatchRelation::from_sets(sim, n), stats))
-}
-
-/// The original queue-based bidirectional fixpoint — the
-/// [`FixpointEngine::Queue`] oracle.
-fn dual_fixpoint_queue<G: GraphView>(g: &G, q: &Pattern) -> (MatchRelation, EvalStats) {
-    let n = g.node_count();
-    let ne = q.edge_count();
-    let mut sim = candidate_sets(g, q);
-    let mut stats = EvalStats::default();
-    if ne == 0 {
-        return (MatchRelation::from_sets(sim, n), stats);
-    }
-
-    // constraint ids: 2*e = forward side of edge e, 2*e+1 = backward side
-    let total = ne * 2;
-    let mut in_queue = vec![true; total];
-    let mut queue: std::collections::VecDeque<usize> = (0..total).collect();
-
-    let mut scratch = BfsScratch::new();
-    let mut reach = BitSet::new(n);
-
-    while let Some(cid) = queue.pop_front() {
-        in_queue[cid] = false;
-        let e = &q.edges()[cid / 2];
-        let forward = cid % 2 == 0;
-        let depth = e.bound.depth();
-
-        // which set shrinks, and from which seeds reach is computed
-        let (constrained, seeds, dir) = if forward {
-            (e.from, e.to, Direction::Backward)
-        } else {
-            (e.to, e.from, Direction::Forward)
-        };
-
-        stats.refreshes += 1;
-        stats.bfs_nodes_visited +=
-            scratch.multi_source_within(g, &sim[seeds.index()], depth, dir, &mut reach);
-        let before = sim[constrained.index()].count();
-        sim[constrained.index()].intersect_with(&reach);
-        let after = sim[constrained.index()].count();
-        if after == before {
-            continue;
-        }
-        stats.removals += before - after;
-        if sim[constrained.index()].is_empty() {
-            return (MatchRelation::empty(q, n), stats);
-        }
-        // sim(constrained) shrank: every constraint that *reads* it must
-        // re-check — forward constraints of edges entering it, backward
-        // constraints of edges leaving it.
-        for &ei in q.in_edge_indices(constrained) {
-            let c = (ei as usize) * 2;
-            if !in_queue[c] {
-                in_queue[c] = true;
-                queue.push_back(c);
-            }
-        }
-        for &ei in q.out_edge_indices(constrained) {
-            let c = (ei as usize) * 2 + 1;
-            if !in_queue[c] {
-                in_queue[c] = true;
-                queue.push_back(c);
-            }
-        }
-    }
-
-    (MatchRelation::from_sets(sim, n), stats)
 }
 
 #[cfg(test)]
@@ -240,6 +73,7 @@ mod tests {
     #[test]
     fn engines_agree_with_reused_scratch() {
         use crate::fixpoint::EvalScratch;
+        use crate::naive::dual_fixpoint_queue;
         use expfinder_graph::generate::{erdos_renyi, NodeSpec};
         use expfinder_pattern::generate::{random_pattern, PatternConfig, PatternShape};
         use rand::rngs::StdRng;
@@ -253,8 +87,12 @@ mod tests {
             cfg.bound_range = (1, 3);
             cfg.extra_edges = 1;
             let q = random_pattern(&mut rng, &cfg);
-            let (old, _) = dual_simulation_with(&g, &q, EvalOptions::queue());
-            let (new, _) = dual_simulation_scratch(&g, &q, EvalOptions::default(), &mut scratch);
+            let (old, _) = dual_fixpoint_queue(&g, &q);
+            let req = EvalRequest {
+                scratch: Some(&mut scratch),
+                ..EvalRequest::new(Semantics::Dual)
+            };
+            let (new, _) = crate::evaluate(&g, &q, req).unwrap();
             assert_eq!(old, new, "trial {trial}: dual engines diverged");
         }
     }

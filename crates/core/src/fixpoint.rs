@@ -6,8 +6,7 @@
 //! set of *constraints* `sim(constrained) ∩= reach(sim(seeds))`, where the
 //! reach set is one bounded multi-source BFS. This module implements that
 //! loop once, with three structural optimizations the queue-based
-//! originals (kept as oracles behind
-//! [`FixpointEngine::Queue`](crate::bsim::FixpointEngine)) do not have:
+//! originals (kept as oracles in [`crate::naive`]) do not have:
 //!
 //! 1. **Word-parallel BFS** — reach sets are computed by the
 //!    direction-optimizing frontier BFS of
@@ -30,9 +29,9 @@
 //! None of this changes results — the greatest fixpoint of a monotone
 //! operator on a finite lattice is unique, so schedule and per-step
 //! algebra may vary freely (property-tested bit-identical to the queue
-//! oracles in `tests/frontier_equivalence.rs`).
+//! oracles in `tests/evaluate_matrix.rs`).
 
-use crate::bsim::{EvalStats, PlanMode};
+use crate::eval::{EvalStats, PlanMode};
 use expfinder_graph::bfs::Direction;
 use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::{BitSet, CancelToken, GraphView, NodeId, ReachProvider, Sym};

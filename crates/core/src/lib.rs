@@ -1,6 +1,6 @@
 //! Matching core of ExpFinder.
 //!
-//! Implements the three matching semantics the paper discusses, the result
+//! Implements the matching semantics the paper discusses, the result
 //! graph, and the top-K ranking that is new in the ExpFinder paper:
 //!
 //! * [`graph_simulation`] — plain graph simulation, quadratic-time
@@ -9,6 +9,8 @@
 //!   PVLDB 2010\]: pattern edges with bound `k` map to non-empty paths of
 //!   length ≤ `k`; computed as a greatest-fixpoint refinement whose step is
 //!   a multi-source reverse bounded BFS (cubic worst case);
+//! * [`dual_simulation`] — our extension beyond the paper: bounded
+//!   simulation that also constrains parents;
 //! * [`subgraph_isomorphism`] — the classical baseline the paper argues is
 //!   too strict and too expensive (NP-complete);
 //! * [`ResultGraph`] — matches as nodes, edges weighted by shortest-path
@@ -16,12 +18,21 @@
 //! * [`rank_matches`] / [`top_k`] — the social-impact ranking
 //!   `f(u_o, v) = (Σ dist(u,v) + Σ dist(v,u')) / |V'_r|` of paper §II.
 //!
+//! The three simulation functions are shorthands for [`evaluate`], the one
+//! evaluation entry point: an [`EvalRequest`] names the [`Semantics`], the
+//! [`Exec`] mode (sequential or parallel), the [`PlanMode`], and the
+//! optional [`EvalScratch`], [`ReachProvider`] and [`CancelToken`]. The
+//! raw fixpoints the incremental module builds its state from are
+//! [`simulation_fixpoint`] and [`bounded_fixpoint`]; [`naive`] holds the
+//! differential oracles.
+//!
 //! The maximum match relation `M(Q,G)` is represented by
 //! [`MatchRelation`]. Following the paper's definition, if any pattern
 //! node ends up with no valid match the whole result is empty.
 
 pub mod bsim;
 pub mod dualsim;
+pub mod eval;
 pub mod fixpoint;
 pub mod iso;
 pub mod matchrel;
@@ -31,29 +42,16 @@ pub mod rank;
 pub mod result_graph;
 pub mod sim;
 
-pub use bsim::{
-    bounded_simulation, bounded_simulation_cancellable, bounded_simulation_indexed,
-    bounded_simulation_scratch, bounded_simulation_with, EvalOptions, EvalStats, FixpointEngine,
-    PlanMode,
-};
-pub use dualsim::{
-    dual_simulation, dual_simulation_cancellable, dual_simulation_indexed, dual_simulation_scratch,
-    dual_simulation_with,
-};
+pub use bsim::{bounded_fixpoint, bounded_simulation};
+pub use dualsim::dual_simulation;
+pub use eval::{evaluate, EvalRequest, EvalStats, Exec, PlanMode, Semantics};
 pub use expfinder_graph::{CancelToken, ReachIndex, ReachProvider};
 pub use fixpoint::{Cancelled, EvalScratch, PooledScratch, ScratchPool};
 pub use iso::{subgraph_isomorphism, IsoOptions};
 pub use matchrel::MatchRelation;
-pub use parallel::{
-    parallel_bounded_simulation, parallel_bounded_simulation_cancellable,
-    parallel_bounded_simulation_indexed, parallel_bounded_simulation_stats,
-    parallel_candidate_sets, parallel_dual_simulation, parallel_dual_simulation_cancellable,
-    parallel_dual_simulation_indexed, parallel_dual_simulation_stats, parallel_simulation,
-    parallel_simulation_cancellable, parallel_simulation_indexed, parallel_simulation_stats,
-};
 pub use rank::{rank_matches, rank_matches_top_k, rank_value, top_k, RankedMatch};
 pub use result_graph::{BuildOptions, ResultGraph};
-pub use sim::{graph_simulation, graph_simulation_cancellable, graph_simulation_scratch};
+pub use sim::{graph_simulation, simulation_fixpoint};
 
 use std::fmt;
 
@@ -65,6 +63,8 @@ pub enum MatchError {
     NotASimulationPattern,
     /// Ranking was requested for a pattern without an output node.
     NoOutputNode,
+    /// The request's [`CancelToken`] fired; carries the partial work.
+    Cancelled(Cancelled),
 }
 
 impl fmt::Display for MatchError {
@@ -74,19 +74,28 @@ impl fmt::Display for MatchError {
                 write!(f, "pattern has bounds > 1; use bounded_simulation")
             }
             MatchError::NoOutputNode => write!(f, "pattern has no output node to rank"),
+            MatchError::Cancelled(c) => c.fmt(f),
         }
     }
 }
 
 impl std::error::Error for MatchError {}
 
+impl From<Cancelled> for MatchError {
+    fn from(c: Cancelled) -> Self {
+        MatchError::Cancelled(c)
+    }
+}
+
 /// Collect the nodes of `g` satisfying each pattern node's predicate,
-/// as bitsets indexed by pattern node. Shared by all matchers.
-pub(crate) fn candidate_sets<G: expfinder_graph::GraphView>(
+/// as bitsets indexed by pattern node — the starting sets of every
+/// fixpoint. A view with a label index (`CsrGraph` has one) seeds each
+/// label-implying predicate from its label class instead of a full scan.
+pub fn candidate_sets<G: expfinder_graph::GraphView>(
     g: &G,
     q: &expfinder_pattern::Pattern,
 ) -> Vec<expfinder_graph::BitSet> {
-    q.ids().map(|u| candidate_set(g, q, u)).collect()
+    q.ids().map(|u| candidate_set_classed(g, q, u).0).collect()
 }
 
 /// [`candidate_sets`] plus, per pattern node, the label symbol whose
@@ -113,21 +122,13 @@ pub(crate) fn candidate_sets_classed<G: expfinder_graph::GraphView>(
     (sets, classes)
 }
 
-/// The candidate set of one pattern node. When the view maintains a label
-/// index (`CsrGraph` does) and the predicate implies a label, only that
-/// label class is scanned — and only against the *residual* predicate
-/// (the label conjunct is already proven by class membership), so a
+/// The candidate set of one pattern node, plus the class marker of
+/// [`candidate_sets_classed`]. When the view maintains a label index
+/// (`CsrGraph` does) and the predicate implies a label, only that label
+/// class is scanned — and only against the *residual* predicate (the
+/// label conjunct is already proven by class membership), so a
 /// pure-label node costs one bitset clone instead of a graph scan.
 /// Without an index every node is tested against the full predicate.
-pub(crate) fn candidate_set<G: expfinder_graph::GraphView>(
-    g: &G,
-    q: &expfinder_pattern::Pattern,
-    u: expfinder_pattern::PNodeId,
-) -> expfinder_graph::BitSet {
-    candidate_set_classed(g, q, u).0
-}
-
-/// [`candidate_set`] plus the class marker of [`candidate_sets_classed`].
 pub(crate) fn candidate_set_classed<G: expfinder_graph::GraphView>(
     g: &G,
     q: &expfinder_pattern::Pattern,

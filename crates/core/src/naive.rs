@@ -4,10 +4,19 @@
 //! simpler machinery (no counters, no shared BFS scratch, no worklists):
 //! every pass re-checks every pair from scratch until nothing changes.
 //! Slow — but independent, which is what a differential oracle needs.
+//!
+//! The module also keeps the queue-based fixpoint loops that predate the
+//! frontier engine of [`crate::fixpoint`]: [`bounded_fixpoint_queue`] and
+//! [`dual_fixpoint_queue`]. They are the oracle for dual simulation (which
+//! has no naive version here), the reference the raw no-early-exit
+//! fixpoint is checked against, and the `old` column of the
+//! `bench_match` benchmark.
 
 use crate::candidate_sets;
+use crate::eval::{EvalStats, PlanMode};
 use crate::matchrel::MatchRelation;
-use expfinder_graph::{GraphView, NodeId};
+use expfinder_graph::bfs::{BfsScratch, Direction};
+use expfinder_graph::{BitSet, GraphView, NodeId};
 use expfinder_pattern::{Bound, Pattern};
 use std::collections::{HashMap, VecDeque};
 
@@ -108,6 +117,140 @@ pub fn naive_bounded_simulation<G: GraphView>(g: &G, q: &Pattern) -> MatchRelati
         }
     }
     MatchRelation::from_sets(sim, g.node_count())
+}
+
+/// The original queue-based bounded-simulation fixpoint from starting
+/// sets `sim`, with the same `early_exit` contract as
+/// [`crate::bsim::bounded_fixpoint`]. Edges start in `plan` order and
+/// re-queue whenever their target set shrinks.
+pub fn bounded_fixpoint_queue<G: GraphView>(
+    g: &G,
+    q: &Pattern,
+    mut sim: Vec<BitSet>,
+    plan: PlanMode,
+    early_exit: bool,
+) -> (Vec<BitSet>, EvalStats) {
+    let n = g.node_count();
+    let ne = q.edge_count();
+    let mut stats = EvalStats::default();
+
+    if ne == 0 {
+        return (sim, stats);
+    }
+
+    // initial processing order = the "query plan"
+    let mut order: Vec<usize> = (0..ne).collect();
+    if plan == PlanMode::Selective {
+        order.sort_by_key(|&ei| sim[q.edges()[ei].to.index()].count());
+    }
+
+    let mut in_queue = vec![true; ne];
+    let mut queue: std::collections::VecDeque<usize> = order.into_iter().collect();
+
+    let mut scratch = BfsScratch::new();
+    let mut reach = BitSet::new(n);
+
+    while let Some(ei) = queue.pop_front() {
+        in_queue[ei] = false;
+        let e = &q.edges()[ei];
+        let (u, t, depth) = (e.from, e.to, e.bound.depth());
+
+        stats.refreshes += 1;
+        stats.bfs_nodes_visited +=
+            scratch.multi_source_within(g, &sim[t.index()], depth, Direction::Backward, &mut reach);
+
+        let before = sim[u.index()].count();
+        sim[u.index()].intersect_with(&reach);
+        let after = sim[u.index()].count();
+
+        if after < before {
+            stats.removals += before - after;
+            if after == 0 && early_exit {
+                // some pattern node became unmatchable: M(Q,G) = ∅
+                for s in &mut sim {
+                    s.clear();
+                }
+                return (sim, stats);
+            }
+            // sim(u) shrank: every edge whose *target* is u must re-check
+            for &in_ei in q.in_edge_indices(u) {
+                let in_ei = in_ei as usize;
+                if !in_queue[in_ei] {
+                    in_queue[in_ei] = true;
+                    queue.push_back(in_ei);
+                }
+            }
+        }
+    }
+
+    (sim, stats)
+}
+
+/// The original queue-based bidirectional fixpoint: the maximum bounded
+/// dual simulation relation, with paper semantics.
+pub fn dual_fixpoint_queue<G: GraphView>(g: &G, q: &Pattern) -> (MatchRelation, EvalStats) {
+    let n = g.node_count();
+    let ne = q.edge_count();
+    let mut sim = candidate_sets(g, q);
+    let mut stats = EvalStats::default();
+    if ne == 0 {
+        return (MatchRelation::from_sets(sim, n), stats);
+    }
+
+    // constraint ids: 2*e = forward side of edge e, 2*e+1 = backward side
+    let total = ne * 2;
+    let mut in_queue = vec![true; total];
+    let mut queue: std::collections::VecDeque<usize> = (0..total).collect();
+
+    let mut scratch = BfsScratch::new();
+    let mut reach = BitSet::new(n);
+
+    while let Some(cid) = queue.pop_front() {
+        in_queue[cid] = false;
+        let e = &q.edges()[cid / 2];
+        let forward = cid % 2 == 0;
+        let depth = e.bound.depth();
+
+        // which set shrinks, and from which seeds reach is computed
+        let (constrained, seeds, dir) = if forward {
+            (e.from, e.to, Direction::Backward)
+        } else {
+            (e.to, e.from, Direction::Forward)
+        };
+
+        stats.refreshes += 1;
+        stats.bfs_nodes_visited +=
+            scratch.multi_source_within(g, &sim[seeds.index()], depth, dir, &mut reach);
+        let before = sim[constrained.index()].count();
+        sim[constrained.index()].intersect_with(&reach);
+        let after = sim[constrained.index()].count();
+        if after == before {
+            continue;
+        }
+        stats.removals += before - after;
+        if sim[constrained.index()].is_empty() {
+            return (MatchRelation::empty(q, n), stats);
+        }
+        // sim(constrained) shrank: every constraint that *reads* it must
+        // re-check — forward constraints of edges entering it, backward
+        // constraints of edges leaving it.
+        for &ei in q.in_edge_indices(constrained) {
+            let c = (ei as usize) * 2;
+            if !in_queue[c] {
+                in_queue[c] = true;
+                queue.push_back(c);
+            }
+        }
+        for &ei in q.out_edge_indices(constrained) {
+            let c = (ei as usize) * 2 + 1;
+            if !in_queue[c] {
+                in_queue[c] = true;
+                queue.push_back(c);
+            }
+        }
+    }
+
+    (MatchRelation::from_sets(sim, n), stats)
 }
 
 /// Check that `m` actually *is* a valid bounded simulation relation (every

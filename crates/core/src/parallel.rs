@@ -36,194 +36,20 @@
 //! same refresh memoization the sequential frontier engine uses
 //! ([`crate::fixpoint`]).
 
-use crate::bsim::EvalStats;
+use crate::candidate_set_classed;
+use crate::eval::EvalStats;
 use crate::fixpoint::{Cancelled, Constraint};
 use crate::matchrel::MatchRelation;
-use crate::{candidate_set, candidate_set_classed, MatchError};
-use expfinder_graph::bfs::Direction;
 use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider, Sym};
 use expfinder_pattern::{PNodeId, Pattern};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Which constraint system to solve.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum Semantics {
-    /// Forward constraints only (child support) — simulation flavours.
-    Forward,
-    /// Forward and backward constraints — dual simulation.
-    Dual,
-}
-
-/// Parallel plain graph simulation: identical results to
-/// [`crate::graph_simulation`], computed with `threads` workers.
-pub fn parallel_simulation<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> Result<MatchRelation, MatchError> {
-    parallel_simulation_stats(g, q, threads).map(|(m, _)| m)
-}
-
-/// [`parallel_simulation`] with work counters.
-pub fn parallel_simulation_stats<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> Result<(MatchRelation, EvalStats), MatchError> {
-    parallel_simulation_indexed(g, q, threads, None)
-}
-
-/// [`parallel_simulation_stats`] consulting a per-snapshot
-/// [`ReachProvider`] during the first refinement round (when every seed
-/// set is still its freshly seeded candidate set). Bit-identical results
-/// with or without a provider.
-pub fn parallel_simulation_indexed<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-    index: Option<&dyn ReachProvider>,
-) -> Result<(MatchRelation, EvalStats), MatchError> {
-    if !q.is_simulation() {
-        return Err(MatchError::NotASimulationPattern);
-    }
-    match refine(g, q, Semantics::Forward, threads, index, None) {
-        Ok(r) => Ok(r),
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
-}
-
-/// [`parallel_simulation_indexed`] polling a [`CancelToken`]. The outer
-/// `Result` reports pattern-shape errors, the inner one cancellation —
-/// the same nesting as [`crate::graph_simulation_cancellable`].
-pub fn parallel_simulation_cancellable<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-    index: Option<&dyn ReachProvider>,
-    cancel: Option<&CancelToken>,
-) -> Result<Result<(MatchRelation, EvalStats), Cancelled>, MatchError> {
-    if !q.is_simulation() {
-        return Err(MatchError::NotASimulationPattern);
-    }
-    Ok(refine(g, q, Semantics::Forward, threads, index, cancel))
-}
-
-/// Parallel bounded simulation: identical results to
-/// [`crate::bounded_simulation`], computed with `threads` workers.
-pub fn parallel_bounded_simulation<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> Result<MatchRelation, MatchError> {
-    parallel_bounded_simulation_stats(g, q, threads).map(|(m, _)| m)
-}
-
-/// [`parallel_bounded_simulation`] with work counters.
-pub fn parallel_bounded_simulation_stats<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> Result<(MatchRelation, EvalStats), MatchError> {
-    parallel_bounded_simulation_indexed(g, q, threads, None)
-}
-
-/// [`parallel_bounded_simulation_stats`] consulting a per-snapshot
-/// [`ReachProvider`] during the first refinement round. Bit-identical
-/// results with or without a provider.
-pub fn parallel_bounded_simulation_indexed<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-    index: Option<&dyn ReachProvider>,
-) -> Result<(MatchRelation, EvalStats), MatchError> {
-    match refine(g, q, Semantics::Forward, threads, index, None) {
-        Ok(r) => Ok(r),
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
-}
-
-/// [`parallel_bounded_simulation_indexed`] polling a [`CancelToken`] at
-/// every refinement-round boundary and inside each worker's BFS. A fired
-/// token aborts the round before any of its (possibly torn) reach sets
-/// are applied or cached, so cancellation can never corrupt results; the
-/// partial [`EvalStats`] cover the completed rounds.
-pub fn parallel_bounded_simulation_cancellable<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-    index: Option<&dyn ReachProvider>,
-    cancel: Option<&CancelToken>,
-) -> Result<(MatchRelation, EvalStats), Cancelled> {
-    refine(g, q, Semantics::Forward, threads, index, cancel)
-}
-
-/// Parallel bounded dual simulation: identical results to
-/// [`crate::dual_simulation`], computed with `threads` workers.
-pub fn parallel_dual_simulation<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> MatchRelation {
-    parallel_dual_simulation_stats(g, q, threads).0
-}
-
-/// [`parallel_dual_simulation`] with work counters.
-pub fn parallel_dual_simulation_stats<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> (MatchRelation, EvalStats) {
-    parallel_dual_simulation_indexed(g, q, threads, None)
-}
-
-/// [`parallel_dual_simulation_stats`] consulting a per-snapshot
-/// [`ReachProvider`] during the first refinement round. Bit-identical
-/// results with or without a provider.
-pub fn parallel_dual_simulation_indexed<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-    index: Option<&dyn ReachProvider>,
-) -> (MatchRelation, EvalStats) {
-    match refine(g, q, Semantics::Dual, threads, index, None) {
-        Ok(r) => r,
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
-}
-
-/// [`parallel_dual_simulation_indexed`] polling a [`CancelToken`] — the
-/// dual-semantics counterpart of
-/// [`parallel_bounded_simulation_cancellable`].
-pub fn parallel_dual_simulation_cancellable<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-    index: Option<&dyn ReachProvider>,
-    cancel: Option<&CancelToken>,
-) -> Result<(MatchRelation, EvalStats), Cancelled> {
-    refine(g, q, Semantics::Dual, threads, index, cancel)
-}
-
 /// Candidate sets computed with `threads` workers, one pattern node per
-/// work item. Identical to the sequential seeding used by every matcher.
-pub fn parallel_candidate_sets<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> Vec<BitSet> {
-    let ids: Vec<PNodeId> = q.ids().collect();
-    run_items(threads, &ids, || (), |_, &u| (u, candidate_set(g, q, u)))
-        .map(|mut sets| {
-            sets.sort_by_key(|(u, _)| u.index());
-            sets.into_iter().map(|(_, s)| s).collect()
-        })
-        .unwrap_or_else(|| crate::candidate_sets(g, q))
-}
-
-/// [`parallel_candidate_sets`] plus the per-pattern-node class markers of
+/// work item, plus the per-pattern-node class markers of
 /// [`crate::candidate_sets_classed`] (`Some(sym)` ⟺ that node's set is
-/// exactly `g`'s label class for `sym`).
+/// exactly `g`'s label class for `sym`). Identical to the sequential
+/// seeding.
 fn parallel_candidate_sets_classed<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
@@ -243,13 +69,16 @@ fn parallel_candidate_sets_classed<G: GraphView + Sync>(
     .unwrap_or_else(|| crate::candidate_sets_classed(g, q))
 }
 
-/// The shared fixpoint driver. `cancel` is polled at every round boundary
-/// and threaded into each worker's BFS; a fired token aborts before the
-/// round's reach sets touch `sim` or the cache.
-fn refine<G: GraphView + Sync>(
+/// The parallel fixpoint driver behind [`crate::evaluate`]'s
+/// [`Exec::Parallel`](crate::Exec::Parallel). `cancel` is polled at every
+/// round boundary and threaded into each worker's BFS; a fired token
+/// aborts before the round's reach sets touch `sim` or the cache. With a
+/// provider, the first round (when every seed set is still its freshly
+/// seeded candidate set) consults `index` for class-seeded constraints.
+pub(crate) fn refine<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
-    semantics: Semantics,
+    constraints: &[Constraint],
     threads: usize,
     index: Option<&dyn ReachProvider>,
     cancel: Option<&CancelToken>,
@@ -258,23 +87,6 @@ fn refine<G: GraphView + Sync>(
     let (mut sim, classes) = parallel_candidate_sets_classed(g, q, threads);
     let mut stats = EvalStats::default();
 
-    let mut constraints: Vec<Constraint> = Vec::new();
-    for e in q.edges() {
-        constraints.push(Constraint {
-            constrained: e.from,
-            seeds: e.to,
-            depth: e.bound.depth(),
-            dir: Direction::Backward,
-        });
-        if semantics == Semantics::Dual {
-            constraints.push(Constraint {
-                constrained: e.to,
-                seeds: e.from,
-                depth: e.bound.depth(),
-                dir: Direction::Forward,
-            });
-        }
-    }
     if constraints.is_empty() {
         return Ok((MatchRelation::from_sets(sim, n), stats));
     }
@@ -435,7 +247,10 @@ pub fn run_items<T: Sync, R: Send, W>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bounded_simulation, dual_simulation, graph_simulation};
+    use crate::{
+        bounded_simulation, dual_simulation, evaluate, graph_simulation, EvalRequest, Exec,
+        MatchError, Semantics,
+    };
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::generate::{erdos_renyi, NodeSpec};
     use expfinder_graph::CsrGraph;
@@ -444,15 +259,28 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn parallel<G: GraphView + Sync>(
+        g: &G,
+        q: &Pattern,
+        semantics: Semantics,
+        threads: usize,
+    ) -> Result<MatchRelation, MatchError> {
+        let req = EvalRequest {
+            exec: Exec::Parallel(threads),
+            ..EvalRequest::new(semantics)
+        };
+        evaluate(g, q, req).map(|(m, _)| m)
+    }
+
     #[test]
     fn fig1_parallel_equals_sequential() {
         let f = collaboration_fig1();
         let q = fig1_pattern();
         for threads in [1, 2, 4] {
-            let par = parallel_bounded_simulation(&f.graph, &q, threads).unwrap();
+            let par = parallel(&f.graph, &q, Semantics::Bounded, threads).unwrap();
             assert_eq!(par, bounded_simulation(&f.graph, &q).unwrap());
             let csr = CsrGraph::snapshot(&f.graph);
-            let par_csr = parallel_bounded_simulation(&csr, &q, threads).unwrap();
+            let par_csr = parallel(&csr, &q, Semantics::Bounded, threads).unwrap();
             assert_eq!(par_csr, par, "CSR fast path agrees ({threads} threads)");
         }
     }
@@ -461,10 +289,16 @@ mod tests {
     fn simulation_rejects_bounded_patterns() {
         let f = collaboration_fig1();
         assert_eq!(
-            parallel_simulation(&f.graph, &fig1_pattern(), 2).unwrap_err(),
+            parallel(&f.graph, &fig1_pattern(), Semantics::Simulation, 2).unwrap_err(),
             MatchError::NotASimulationPattern
         );
-        let m = parallel_simulation(&f.graph, &fig1_pattern_simulation(), 2).unwrap();
+        let m = parallel(
+            &f.graph,
+            &fig1_pattern_simulation(),
+            Semantics::Simulation,
+            2,
+        )
+        .unwrap();
         assert_eq!(
             m,
             graph_simulation(&f.graph, &fig1_pattern_simulation()).unwrap()
@@ -487,12 +321,12 @@ mod tests {
             let seq_d = dual_simulation(&g, &q);
             for threads in [1, 3] {
                 assert_eq!(
-                    parallel_bounded_simulation(&csr, &q, threads).unwrap(),
+                    parallel(&csr, &q, Semantics::Bounded, threads).unwrap(),
                     seq_b,
                     "trial {trial} bsim {threads}t"
                 );
                 assert_eq!(
-                    parallel_dual_simulation(&csr, &q, threads),
+                    parallel(&csr, &q, Semantics::Dual, threads).unwrap(),
                     seq_d,
                     "trial {trial} dual {threads}t"
                 );
@@ -501,7 +335,7 @@ mod tests {
             let qs = q.as_simulation();
             let seq_s = graph_simulation(&g, &qs).unwrap();
             assert_eq!(
-                parallel_simulation(&csr, &qs, 3).unwrap(),
+                parallel(&csr, &qs, Semantics::Simulation, 3).unwrap(),
                 seq_s,
                 "trial {trial} sim"
             );
@@ -513,8 +347,8 @@ mod tests {
         let f = collaboration_fig1();
         let q = fig1_pattern();
         let csr = CsrGraph::snapshot(&f.graph);
-        let plain = parallel_candidate_sets(&f.graph, &q, 1);
-        let indexed = parallel_candidate_sets(&csr, &q, 4);
+        let (plain, _) = parallel_candidate_sets_classed(&f.graph, &q, 1);
+        let (indexed, _) = parallel_candidate_sets_classed(&csr, &q, 4);
         assert_eq!(plain, indexed, "label index changes cost, not membership");
     }
 
@@ -525,7 +359,7 @@ mod tests {
             .node("sa", expfinder_pattern::Predicate::label("SA"))
             .build()
             .unwrap();
-        let m = parallel_bounded_simulation(&f.graph, &q, 2).unwrap();
+        let m = parallel(&f.graph, &q, Semantics::Bounded, 2).unwrap();
         assert_eq!(m, bounded_simulation(&f.graph, &q).unwrap());
         assert_eq!(m.total_pairs(), 2);
     }

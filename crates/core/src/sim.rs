@@ -14,10 +14,10 @@
 //! The result is the greatest fixpoint, i.e. the maximum simulation
 //! relation, in `O(|Q| · |G|)` time and space.
 
-use crate::bsim::EvalStats;
-use crate::fixpoint::{Cancelled, EvalScratch};
+use crate::eval::{evaluate_sequential, EvalRequest, EvalStats, Semantics};
+use crate::fixpoint::Cancelled;
 use crate::matchrel::MatchRelation;
-use crate::{candidate_sets, MatchError};
+use crate::MatchError;
 use expfinder_graph::{BitSet, CancelToken, GraphView, NodeId};
 use expfinder_pattern::{PNodeId, Pattern};
 
@@ -26,60 +26,7 @@ use expfinder_pattern::{PNodeId, Pattern};
 /// Errors with [`MatchError::NotASimulationPattern`] if any bound exceeds
 /// one hop — those queries belong to [`crate::bounded_simulation`].
 pub fn graph_simulation<G: GraphView>(g: &G, q: &Pattern) -> Result<MatchRelation, MatchError> {
-    if !q.is_simulation() {
-        return Err(MatchError::NotASimulationPattern);
-    }
-    let (sets, _) = simulation_fixpoint(g, q, candidate_sets(g, q));
-    Ok(MatchRelation::from_sets(sets, g.node_count()))
-}
-
-/// [`graph_simulation`] against a caller-owned [`EvalScratch`]: the
-/// per-edge counter arrays and the removal queue come from the scratch
-/// instead of fresh allocations — the allocation-free serving path for
-/// 1-bounded queries. Also reports removal counters.
-pub fn graph_simulation_scratch<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    scratch: &mut EvalScratch,
-) -> Result<(MatchRelation, EvalStats), MatchError> {
-    match graph_simulation_cancellable(g, q, scratch, None)? {
-        Ok(r) => Ok(r),
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
-}
-
-/// [`graph_simulation_scratch`] polling a [`CancelToken`] — checked once
-/// per pattern edge during the counter build and every 1024 removals in
-/// the cascade, the counter fixpoint's analogue of the frontier engine's
-/// refresh boundaries. The outer `Result` reports pattern-shape errors;
-/// the inner one a fired token (with partial [`EvalStats`]). The scratch
-/// buffers are zero-filled on the next checkout, so an abort leaves no
-/// residue.
-#[allow(clippy::type_complexity)]
-pub fn graph_simulation_cancellable<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    scratch: &mut EvalScratch,
-    cancel: Option<&CancelToken>,
-) -> Result<Result<(MatchRelation, EvalStats), Cancelled>, MatchError> {
-    if !q.is_simulation() {
-        return Err(MatchError::NotASimulationPattern);
-    }
-    let n = g.node_count();
-    let mut sim = candidate_sets(g, q);
-    let (cnt, queue) = scratch.sim_buffers(q.edge_count(), n);
-    Ok(
-        match simulation_fixpoint_cancel(g, q, &mut sim, cnt, queue, cancel) {
-            Ok(removals) => {
-                let stats = EvalStats {
-                    removals,
-                    ..EvalStats::default()
-                };
-                Ok((MatchRelation::from_sets(sim, n), stats))
-            }
-            Err(c) => Err(c),
-        },
-    )
+    evaluate_sequential(g, q, EvalRequest::new(Semantics::Simulation)).map(|(m, _)| m)
 }
 
 /// The refinement fixpoint, exposed for the incremental module which needs
@@ -95,7 +42,7 @@ pub fn simulation_fixpoint<G: GraphView>(
     let n = g.node_count();
     let mut cnt: Vec<Vec<u32>> = vec![vec![0; n]; q.edge_count()];
     let mut queue: Vec<(PNodeId, NodeId)> = Vec::new();
-    match simulation_fixpoint_cancel(g, q, &mut sim, &mut cnt, &mut queue, None) {
+    match refine_counters(g, q, &mut sim, &mut cnt, &mut queue, None) {
         Ok(_) => {}
         Err(_) => unreachable!("no cancel token supplied"),
     }
@@ -105,8 +52,10 @@ pub fn simulation_fixpoint<G: GraphView>(
 /// The counter-based refinement over caller-provided (zeroed) buffers;
 /// returns the number of pairs removed from the candidate sets, or
 /// [`Cancelled`] once `cancel` fires (then `sim` is torn and the caller
-/// discards it).
-fn simulation_fixpoint_cancel<G: GraphView>(
+/// discards it). `cancel` is checked once per pattern edge during the
+/// counter build and every 1024 removals in the cascade, the counter
+/// fixpoint's analogue of the frontier loop's refresh boundaries.
+pub(crate) fn refine_counters<G: GraphView>(
     g: &G,
     q: &Pattern,
     sim: &mut [BitSet],
@@ -348,14 +297,19 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(91);
         let spec = NodeSpec::uniform(3, 4);
-        let mut scratch = EvalScratch::new();
+        let mut scratch = crate::EvalScratch::new();
         for trial in 0..12 {
             let g = erdos_renyi(&mut rng, 25 + trial * 4, 120, &spec);
             let mut cfg = PatternConfig::new(PatternShape::Dag, 4, spec.labels.clone());
             cfg.bound_range = (1, 1);
             let q = random_pattern(&mut rng, &cfg);
             let plain = graph_simulation(&g, &q).unwrap();
-            let (with_scratch, _) = graph_simulation_scratch(&g, &q, &mut scratch).unwrap();
+            let req = EvalRequest {
+                semantics: Semantics::Simulation,
+                scratch: Some(&mut scratch),
+                ..EvalRequest::default()
+            };
+            let (with_scratch, _) = crate::evaluate(&g, &q, req).unwrap();
             assert_eq!(plain, with_scratch, "trial {trial} diverged");
         }
     }

@@ -73,10 +73,8 @@ use expfinder_compress::maintain::MaintainedCompression;
 use expfinder_compress::{CompressError, CompressStats, CompressionMethod};
 pub use expfinder_core::CancelToken;
 use expfinder_core::{
-    bounded_simulation_cancellable, graph_simulation_cancellable,
-    parallel_bounded_simulation_cancellable, parallel_simulation_cancellable, rank_matches_top_k,
-    Cancelled, EvalOptions, EvalScratch, EvalStats, MatchError, MatchRelation, RankedMatch,
-    ResultGraph, ScratchPool,
+    evaluate, rank_matches_top_k, Cancelled, EvalRequest, EvalScratch, EvalStats, Exec, MatchError,
+    MatchRelation, RankedMatch, ReachProvider, ResultGraph, ScratchPool, Semantics,
 };
 use expfinder_graph::io::GraphIoError;
 use expfinder_graph::{CsrGraph, DiGraph, EdgeUpdate, GraphView, ReachIndex};
@@ -1474,109 +1472,59 @@ impl ExpFinder {
         plan.apply_preference(prefer);
 
         // 4. evaluate on the chosen substrate. The snapshot routes
-        // consult the per-version [`ReachIndex`], so on a warm version
-        // every class-seeded first refresh is one bitset copy. All
-        // routes compute the same greatest fixpoint. A fired token
-        // surfaces as the inner `Cancelled` before any torn state is
-        // cached or applied (see `expfinder-core`), so an aborted
-        // evaluation leaves scratch, cache and profile untouched.
-        let evaluated: Result<(MatchRelation, EvalStats, EvalRoute), Cancelled> = match plan.chosen
-        {
+        // consult the per-version [`ReachIndex`] (sequential simulation
+        // runs the counter fixpoint, which has no use for it, so it is
+        // not materialised there), so on a warm version every
+        // class-seeded first refresh is one bitset copy. All routes
+        // compute the same greatest fixpoint. A fired token surfaces as
+        // `MatchError::Cancelled` before any torn state is cached or
+        // applied (see `expfinder-core`), so an aborted evaluation leaves
+        // scratch, cache and profile untouched.
+        let (semantics, direct) = if pattern.is_simulation() {
+            (Semantics::Simulation, EvalRoute::DirectSimulation)
+        } else {
+            (Semantics::Bounded, EvalRoute::DirectBounded)
+        };
+        let mut request = EvalRequest {
+            scratch: Some(scratch),
+            cancel,
+            ..EvalRequest::new(semantics)
+        };
+        let bounded = semantics == Semantics::Bounded;
+        let evaluated = match plan.chosen {
             PlanRoute::Compressed => {
                 let mc = stored
                     .compressed
                     .as_ref()
                     .expect("compressed candidate implies a maintained quotient");
                 let gc = mc.compressed();
-                let on_c = if pattern.is_simulation() {
-                    graph_simulation_cancellable(gc, pattern, scratch, cancel)?
-                } else if gc.has_label_index() {
-                    // the reach index is wired here, but only bound
-                    // when the quotient can actually answer class
-                    // lookups — an always-miss provider would pay the
-                    // cache lock per query and poison the hit/miss
-                    // ratio (today `CompressedGraph` has no label
-                    // index; see ROADMAP)
-                    let ri = StoredGraph::reach_index(&stored.reach_c, version);
-                    let bound = ri.bind(gc);
-                    bounded_simulation_cancellable(
-                        gc,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        Some(&bound),
-                        cancel,
-                    )
-                } else {
-                    bounded_simulation_cancellable(
-                        gc,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        None,
-                        cancel,
-                    )
-                };
-                on_c.map(|(m, stats)| (gc.expand(&m), stats, EvalRoute::Compressed))
+                let ri = bounded.then(|| StoredGraph::reach_index(&stored.reach_c, version));
+                let bound = ri.as_ref().map(|ri| ri.bind(gc));
+                request.index = bound.as_ref().map(|b| b as &dyn ReachProvider);
+                evaluate(gc, pattern, request)
+                    .map(|(m, stats)| (gc.expand(&m), stats, EvalRoute::Compressed))
             }
             PlanRoute::SnapshotParallel => {
                 let csr = stored.csr();
                 let ri = StoredGraph::reach_index(&stored.reach, csr.version());
                 let bound = ri.bind(&*csr);
-                if pattern.is_simulation() {
-                    parallel_simulation_cancellable(&*csr, pattern, threads, Some(&bound), cancel)?
-                        .map(|(m, stats)| (m, stats, EvalRoute::DirectSimulation))
-                } else {
-                    parallel_bounded_simulation_cancellable(
-                        &*csr,
-                        pattern,
-                        threads,
-                        Some(&bound),
-                        cancel,
-                    )
-                    .map(|(m, stats)| (m, stats, EvalRoute::DirectBounded))
-                }
+                request.exec = Exec::Parallel(threads);
+                request.index = Some(&bound);
+                evaluate(&*csr, pattern, request).map(|(m, stats)| (m, stats, direct))
             }
             PlanRoute::Snapshot => {
                 let csr = stored.csr();
-                if pattern.is_simulation() {
-                    graph_simulation_cancellable(&*csr, pattern, scratch, cancel)?
-                        .map(|(m, stats)| (m, stats, EvalRoute::DirectSimulation))
-                } else {
-                    let ri = StoredGraph::reach_index(&stored.reach, csr.version());
-                    let bound = ri.bind(&*csr);
-                    bounded_simulation_cancellable(
-                        &*csr,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        Some(&bound),
-                        cancel,
-                    )
-                    .map(|(m, stats)| (m, stats, EvalRoute::DirectBounded))
-                }
+                let ri = bounded.then(|| StoredGraph::reach_index(&stored.reach, csr.version()));
+                let bound = ri.as_ref().map(|ri| ri.bind(&*csr));
+                request.index = bound.as_ref().map(|b| b as &dyn ReachProvider);
+                evaluate(&*csr, pattern, request).map(|(m, stats)| (m, stats, direct))
             }
             // Live (Cache/Registered never reach this point)
-            _ => {
-                if pattern.is_simulation() {
-                    graph_simulation_cancellable(&stored.graph, pattern, scratch, cancel)?
-                        .map(|(m, stats)| (m, stats, EvalRoute::DirectSimulation))
-                } else {
-                    bounded_simulation_cancellable(
-                        &stored.graph,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        None,
-                        cancel,
-                    )
-                    .map(|(m, stats)| (m, stats, EvalRoute::DirectBounded))
-                }
-            }
+            _ => evaluate(&stored.graph, pattern, request).map(|(m, stats)| (m, stats, direct)),
         };
         let (m, stats, route) = match evaluated {
             Ok(t) => t,
-            Err(c) => {
+            Err(MatchError::Cancelled(c)) => {
                 // partial work still counts toward the engine totals, but
                 // never into the graph's cost profile (it would skew the
                 // planner's per-route estimates) and never into the cache
@@ -1584,6 +1532,7 @@ impl ExpFinder {
                 self.eval_totals.add(c.stats);
                 return Err(ExpFinderError::DeadlineExceeded(c.stats));
             }
+            Err(e) => return Err(e.into()),
         };
         stored.profile.note_eval(version, &stats);
         if plan.mispredicted(&stats) {

@@ -145,10 +145,6 @@ impl GraphView for CsrGraph {
     fn nodes_with_label(&self, label: Sym) -> Option<&BitSet> {
         self.label_set(label)
     }
-
-    fn has_label_index(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

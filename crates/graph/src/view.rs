@@ -41,15 +41,6 @@ pub trait GraphView {
         None
     }
 
-    /// Whether [`GraphView::nodes_with_label`] can ever answer `Some` on
-    /// this view. Lets callers skip wiring label-class machinery (e.g. a
-    /// reach-index provider) against views that would only ever miss.
-    /// Must be overridden to `true` by any view that overrides
-    /// `nodes_with_label`.
-    fn has_label_index(&self) -> bool {
-        false
-    }
-
     /// Iterate all node ids (provided).
     fn ids(&self) -> NodeIdRange {
         NodeIdRange {

@@ -36,10 +36,10 @@
 //! local — the experiments use bounded patterns, as does the paper.
 
 use crate::{IncStats, Maintainer, MatchDelta};
-use expfinder_core::bsim::{bounded_fixpoint_cancellable, EvalOptions};
 use expfinder_core::fixpoint::EvalScratch;
 use expfinder_core::matchrel::MatchRelation;
 use expfinder_core::Cancelled;
+use expfinder_core::{bounded_fixpoint, candidate_sets};
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::{BitSet, CancelToken, DiGraph, EdgeUpdate, GraphView, NodeId};
@@ -164,15 +164,8 @@ impl IncrementalBoundedSim {
     ) -> Result<IncrementalBoundedSim, Cancelled> {
         let cand0 = candidate_sets(g, q);
         let mut eval_scratch = EvalScratch::new();
-        let (sim, fix_stats) = bounded_fixpoint_cancellable(
-            g,
-            q,
-            cand0.clone(),
-            EvalOptions::default(),
-            false,
-            &mut eval_scratch,
-            cancel,
-        )?;
+        let (sim, fix_stats) =
+            bounded_fixpoint(g, q, cand0.clone(), false, &mut eval_scratch, cancel)?;
         let n = g.node_count();
         let mut reach = ReachScratch::default();
         let mut scnt: Vec<Vec<u32>> = vec![vec![0; n]; q.edge_count()];
@@ -508,23 +501,6 @@ impl Maintainer for IncrementalBoundedSim {
     fn stats(&self) -> IncStats {
         self.stats
     }
-}
-
-fn candidate_sets(g: &DiGraph, q: &Pattern) -> Vec<BitSet> {
-    let n = g.node_count();
-    q.nodes()
-        .iter()
-        .map(|pn| {
-            let compiled = pn.predicate.compile(g);
-            let mut set = BitSet::new(n);
-            for v in g.ids() {
-                if compiled.eval(g.vertex(v)) {
-                    set.insert(v);
-                }
-            }
-            set
-        })
-        .collect()
 }
 
 #[cfg(test)]

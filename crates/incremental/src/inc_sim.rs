@@ -21,8 +21,8 @@
 
 use crate::{IncStats, Maintainer, MatchDelta};
 use expfinder_core::matchrel::MatchRelation;
-use expfinder_core::sim::simulation_fixpoint;
 use expfinder_core::MatchError;
+use expfinder_core::{candidate_sets, simulation_fixpoint};
 use expfinder_graph::{BitSet, DiGraph, EdgeUpdate, GraphView, NodeId};
 use expfinder_pattern::{PNodeId, Pattern};
 
@@ -253,23 +253,6 @@ impl Maintainer for IncrementalSim {
 }
 
 /// Local copy of the candidate-set helper (the core one is crate-private).
-fn candidate_sets(g: &DiGraph, q: &Pattern) -> Vec<BitSet> {
-    let n = g.node_count();
-    q.nodes()
-        .iter()
-        .map(|pn| {
-            let compiled = pn.predicate.compile(g);
-            let mut set = BitSet::new(n);
-            for v in g.ids() {
-                if compiled.eval(g.vertex(v)) {
-                    set.insert(v);
-                }
-            }
-            set
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

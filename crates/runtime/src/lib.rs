@@ -81,10 +81,8 @@ use crate::wal::{ReplaySummary, Wal};
 use expfinder_compress::{CompressStats, CompressedGraph, CompressionMethod};
 pub use expfinder_core::CancelToken;
 use expfinder_core::{
-    bounded_simulation_cancellable, graph_simulation_cancellable,
-    parallel_bounded_simulation_cancellable, parallel_simulation_cancellable, rank_matches_top_k,
-    BuildOptions, Cancelled, EvalOptions, EvalScratch, EvalStats, MatchRelation, ResultGraph,
-    ScratchPool,
+    evaluate, rank_matches_top_k, BuildOptions, EvalRequest, EvalScratch, EvalStats, Exec,
+    MatchError, MatchRelation, ResultGraph, ScratchPool, Semantics,
 };
 use expfinder_engine::cache::{CacheStats, QueryCache};
 use expfinder_engine::planner::{self, PlannerCounters};
@@ -968,102 +966,58 @@ impl DurableExpFinder {
         let mut plan = planner::plan(&inputs, &ctx);
         plan.apply_preference(prefer);
 
-        // A fired token surfaces as the inner `Cancelled` before any torn
-        // state is cached or applied (see `expfinder-core`), so an
+        // A fired token surfaces as `MatchError::Cancelled` before any
+        // torn state is cached or applied (see `expfinder-core`), so an
         // aborted evaluation leaves scratch, cache and profile untouched.
-        let evaluated: Result<(MatchRelation, EvalStats, EvalRoute), Cancelled> = match plan.chosen
-        {
+        // The published reach indexes cost nothing to bind; sequential
+        // simulation runs the counter fixpoint and never consults them.
+        let (semantics, direct) = if pattern.is_simulation() {
+            (Semantics::Simulation, EvalRoute::DirectSimulation)
+        } else {
+            (Semantics::Bounded, EvalRoute::DirectBounded)
+        };
+        let mut request = EvalRequest {
+            scratch: Some(scratch),
+            cancel,
+            ..EvalRequest::new(semantics)
+        };
+        let evaluated = match plan.chosen {
             PlanRoute::Compressed => {
                 let gc = snap
                     .compressed
                     .as_ref()
                     .expect("compressed candidate implies a published quotient");
-                let on_c = if pattern.is_simulation() {
-                    graph_simulation_cancellable(&**gc, pattern, scratch, cancel)?
-                } else if gc.has_label_index() {
-                    let bound = snap.reach_c.bind(&**gc);
-                    bounded_simulation_cancellable(
-                        &**gc,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        Some(&bound),
-                        cancel,
-                    )
-                } else {
-                    bounded_simulation_cancellable(
-                        &**gc,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        None,
-                        cancel,
-                    )
-                };
-                on_c.map(|(m, stats)| (gc.expand(&m), stats, EvalRoute::Compressed))
+                let bound = snap.reach_c.bind(&**gc);
+                request.index = Some(&bound);
+                evaluate(&**gc, pattern, request)
+                    .map(|(m, stats)| (gc.expand(&m), stats, EvalRoute::Compressed))
             }
             PlanRoute::SnapshotParallel => {
                 let csr = snap.csr(&pg.profile);
                 let bound = snap.reach.bind(&*csr);
-                if pattern.is_simulation() {
-                    parallel_simulation_cancellable(&*csr, pattern, threads, Some(&bound), cancel)?
-                        .map(|(m, stats)| (m, stats, EvalRoute::DirectSimulation))
-                } else {
-                    parallel_bounded_simulation_cancellable(
-                        &*csr,
-                        pattern,
-                        threads,
-                        Some(&bound),
-                        cancel,
-                    )
-                    .map(|(m, stats)| (m, stats, EvalRoute::DirectBounded))
-                }
+                request.exec = Exec::Parallel(threads);
+                request.index = Some(&bound);
+                evaluate(&*csr, pattern, request).map(|(m, stats)| (m, stats, direct))
             }
             PlanRoute::Snapshot => {
                 let csr = snap.csr(&pg.profile);
-                if pattern.is_simulation() {
-                    graph_simulation_cancellable(&*csr, pattern, scratch, cancel)?
-                        .map(|(m, stats)| (m, stats, EvalRoute::DirectSimulation))
-                } else {
-                    let bound = snap.reach.bind(&*csr);
-                    bounded_simulation_cancellable(
-                        &*csr,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        Some(&bound),
-                        cancel,
-                    )
-                    .map(|(m, stats)| (m, stats, EvalRoute::DirectBounded))
-                }
+                let bound = snap.reach.bind(&*csr);
+                request.index = Some(&bound);
+                evaluate(&*csr, pattern, request).map(|(m, stats)| (m, stats, direct))
             }
             // Live (Cache/Registered never reach this point)
-            _ => {
-                if pattern.is_simulation() {
-                    graph_simulation_cancellable(&*snap.graph, pattern, scratch, cancel)?
-                        .map(|(m, stats)| (m, stats, EvalRoute::DirectSimulation))
-                } else {
-                    bounded_simulation_cancellable(
-                        &*snap.graph,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        None,
-                        cancel,
-                    )
-                    .map(|(m, stats)| (m, stats, EvalRoute::DirectBounded))
-                }
-            }
+            _ => evaluate(&*snap.graph, pattern, request).map(|(m, stats)| (m, stats, direct)),
         };
         let (m, stats, route) = match evaluated {
             Ok(t) => t,
-            Err(c) => {
+            Err(MatchError::Cancelled(c)) => {
                 // partial work still counts toward the runtime totals,
                 // but never into the cost profile or the cache
                 self.planner.on_decision(&plan);
                 self.eval_totals.add(c.stats);
                 return Err(ExpFinderError::DeadlineExceeded(c.stats));
             }
+            Err(e) => return Err(e.into()),
         };
         pg.profile.note_eval(snap.version, &stats);
         if plan.mispredicted(&stats) {

@@ -32,7 +32,7 @@ use crate::routes::{self, Dispatch};
 use crate::subscribe::{Subscriber, SubscriptionHub};
 use expfinder_engine::ExpFinder;
 use expfinder_runtime::DurableExpFinder;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -328,7 +328,14 @@ fn shed_connection(inner: &Inner, mut stream: TcpStream) {
         retry_after: Some(1),
         ..Response::json(503, &body)
     };
-    let _ = resp.write_to(&mut stream, false);
+    // one unbuffered write: the request is never read, so dropping the
+    // stream resets the connection, and a reset discards whatever part of
+    // the response is still queued in the kernel (the tail of a burst of
+    // small writes held back by Nagle)
+    let mut bytes = Vec::new();
+    let _ = resp.write_to(&mut bytes, false);
+    let _ = stream.set_nodelay(true);
+    let _ = stream.write_all(&bytes);
     inner.metrics.connection_closed();
 }
 

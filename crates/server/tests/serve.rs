@@ -776,9 +776,13 @@ fn overload_sheds_503_and_client_backoff_recovers() {
     );
     let addr = handle.addr();
 
-    // pin the only worker: one served keep-alive connection held open
+    // pin the only worker: one served request, pipelined with the start
+    // of a second one. Once the 200 is out the worker is mid-way through
+    // reading that second head, which it waits for up to the 10 s request
+    // deadline — so the pin cannot idle out (keep-alive is only 100 ms)
+    // before the probe below is answered, however loaded the host is
     let mut pin = TcpStream::connect(addr).unwrap();
-    pin.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+    pin.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\nGET /healthz HTTP/1.1\r\n")
         .unwrap();
     pin.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     // read until the head is complete — a single read may return a
@@ -797,10 +801,12 @@ fn overload_sheds_503_and_client_backoff_recovers() {
         String::from_utf8_lossy(&got)
     );
 
-    // fill the bounded queue (workers * 2 = 2) with idle connections
+    // fill the bounded queue (workers * 2 = 2) with idle connections. The
+    // acceptor takes connections off the listen backlog in arrival order
+    // and enqueues each one before it accepts the next, so both are
+    // queued by the time it accepts the probe — no sleep needed
     let _idle1 = TcpStream::connect(addr).unwrap();
     let _idle2 = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(50)); // let the acceptor enqueue them
 
     // the next connection must be shed, not queued: raw 503 with
     // Retry-After and Connection: close, answered while the worker is

@@ -1,7 +1,7 @@
 # Offline CI entry points (the container mirror of .github/workflows/ci.yml).
 
-# everything the CI `check` job runs, in order
-verify: fmt-check clippy test docs-check
+# everything the CI `check` and `doc` jobs run, in order
+verify: fmt-check clippy test doc docs-check
 
 fmt-check:
     cargo fmt --all --check

@@ -12,9 +12,7 @@
 //!   snapshots: every response equals a fresh sequential evaluation of
 //!   the graph at the version the response reports.
 
-use expfinder::core::{
-    dual_simulation, parallel_bounded_simulation, parallel_dual_simulation, parallel_simulation,
-};
+use expfinder::core::{dual_simulation, evaluate, EvalRequest, Exec, MatchError, Semantics};
 use expfinder::graph::generate::{collaboration, random_updates, CollabConfig};
 use expfinder::pattern::fixtures::demo_queries;
 use expfinder::pattern::{Bound, PNodeId, Pattern, PatternEdge, PatternNode, Predicate};
@@ -119,6 +117,20 @@ fn build_pattern(raw: &RawPattern, force_bound_one: bool) -> Pattern {
     Pattern::from_parts(nodes, edges, Some(PNodeId(0))).expect("valid pattern")
 }
 
+/// Parallel evaluation through the one entry point.
+fn parallel<G: GraphView + Sync>(
+    g: &G,
+    q: &Pattern,
+    semantics: Semantics,
+    threads: usize,
+) -> Result<MatchRelation, MatchError> {
+    let req = EvalRequest {
+        exec: Exec::Parallel(threads),
+        ..EvalRequest::new(semantics)
+    };
+    evaluate(g, q, req).map(|(m, _)| m)
+}
+
 // ---------------------------------------------------------------------
 // parallel refinement ≡ sequential fixpoint
 // ---------------------------------------------------------------------
@@ -135,8 +147,8 @@ proptest! {
         let seq = bounded_simulation(&g, &q).unwrap();
         let csr = CsrGraph::snapshot(&g);
         for threads in [1usize, 2, 4] {
-            prop_assert_eq!(&parallel_bounded_simulation(&g, &q, threads).unwrap(), &seq);
-            prop_assert_eq!(&parallel_bounded_simulation(&csr, &q, threads).unwrap(), &seq);
+            prop_assert_eq!(&parallel(&g, &q, Semantics::Bounded, threads).unwrap(), &seq);
+            prop_assert_eq!(&parallel(&csr, &q, Semantics::Bounded, threads).unwrap(), &seq);
         }
     }
 
@@ -148,8 +160,8 @@ proptest! {
         let q = build_pattern(&rp, true);
         let seq = graph_simulation(&g, &q).unwrap();
         let csr = CsrGraph::snapshot(&g);
-        prop_assert_eq!(&parallel_simulation(&g, &q, 3).unwrap(), &seq);
-        prop_assert_eq!(&parallel_simulation(&csr, &q, 3).unwrap(), &seq);
+        prop_assert_eq!(&parallel(&g, &q, Semantics::Simulation, 3).unwrap(), &seq);
+        prop_assert_eq!(&parallel(&csr, &q, Semantics::Simulation, 3).unwrap(), &seq);
     }
 
     /// Parallel dual simulation equals the sequential bidirectional
@@ -160,8 +172,8 @@ proptest! {
         let q = build_pattern(&rp, false);
         let seq = dual_simulation(&g, &q);
         let csr = CsrGraph::snapshot(&g);
-        prop_assert_eq!(&parallel_dual_simulation(&g, &q, 3), &seq);
-        prop_assert_eq!(&parallel_dual_simulation(&csr, &q, 3), &seq);
+        prop_assert_eq!(&parallel(&g, &q, Semantics::Dual, 3).unwrap(), &seq);
+        prop_assert_eq!(&parallel(&csr, &q, Semantics::Dual, 3).unwrap(), &seq);
     }
 
     /// A parallel-engine batch over a generated graph equals per-query
