@@ -240,13 +240,15 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> Value {
     .spawn();
     let addr = handle.addr();
 
-    // warm-up (snapshot builds, allocator, listener)
-    let mut warm = Client::new(addr);
-    warm.query(
-        "bench",
-        &query_body(&variant_dsl(0), Some(5), "direct", false),
-    )
-    .expect("warm-up");
+    // warm-up (snapshot builds, allocator, listener). The client is
+    // dropped before timing: its idle keep-alive connection would
+    // otherwise pin one worker through the hammer phase.
+    Client::new(addr)
+        .query(
+            "bench",
+            &query_body(&variant_dsl(0), Some(5), "direct", false),
+        )
+        .expect("warm-up");
 
     let query_stats = hammer(
         addr,

@@ -16,7 +16,8 @@
 //! yields [`ExpFinderError::StaleHandle`].
 //!
 //! Query routing follows paper §II: (1) the version-keyed result cache,
-//! (2) registered incrementally-maintained queries, and otherwise (3)
+//! which also keeps each relation's ranked top-K ([`rank_step`]), (2)
+//! registered incrementally-maintained queries, and otherwise (3)
 //! the cost-based [`planner`], which estimates the work of every
 //! applicable physical route — the live adjacency, the reach-indexed
 //! CSR snapshot (sequential or parallel), the compressed quotient when
@@ -68,7 +69,7 @@ pub use planner::{
     CandidateCost, CostInputs, CostProfile, PlanContext, PlanDecision, PlanRoute, PlannerTotals,
 };
 
-use cache::QueryCache;
+use cache::{CacheKey, QueryCache};
 use expfinder_compress::maintain::MaintainedCompression;
 use expfinder_compress::{CompressError, CompressStats, CompressionMethod};
 pub use expfinder_core::CancelToken;
@@ -298,7 +299,8 @@ pub struct ExpertReport {
 pub struct QueryTimings {
     /// Evaluating the match relation (including cache/registered hits).
     pub evaluate: Duration,
-    /// Building the result graph and ranking (zero if no `top_k`).
+    /// Building the result graph and ranking (zero if no `top_k`, about
+    /// zero when the cache held the ranking).
     pub rank: Duration,
     /// End-to-end time inside the engine.
     pub total: Duration,
@@ -1028,7 +1030,7 @@ impl ExpFinder {
     ) -> Result<QueryOutcome, ExpFinderError> {
         let slot = self.slot(handle)?;
         let stored = slot.read();
-        let (matches, route, _plan) = self.scratch_pool.with(|scratch| {
+        let ev = self.scratch_pool.with(|scratch| {
             self.route_and_eval(
                 handle,
                 &stored,
@@ -1040,8 +1042,8 @@ impl ExpFinder {
             )
         })?;
         Ok(QueryOutcome {
-            matches,
-            route,
+            matches: ev.matches,
+            route: ev.route,
             graph_version: stored.graph.version(),
         })
     }
@@ -1338,46 +1340,36 @@ impl ExpFinder {
         let started = Instant::now();
         let slot = self.slot(handle)?;
         let stored = slot.read();
-        let (matches, route, plan) =
-            self.route_and_eval(handle, &stored, pattern, prefer, threads, scratch, cancel)?;
+        let ev = self.route_and_eval(handle, &stored, pattern, prefer, threads, scratch, cancel)?;
         let evaluate_time = started.elapsed();
 
         let rank_started = Instant::now();
         let experts = match top_k {
             None => Vec::new(),
-            Some(k) => {
-                let opts = expfinder_core::BuildOptions { threads };
-                // reuse the CSR snapshot only when direct evaluation just
-                // built (or fetched) it; a cache/registered/compressed hit
-                // never touched it, and building one merely to rank would
-                // cost more than it saves
-                let direct = matches!(
-                    route,
-                    EvalRoute::DirectSimulation | EvalRoute::DirectBounded
-                );
-                let csr = if direct { stored.csr_if_fresh() } else { None };
-                if let Some(csr) = csr {
-                    let rg = ResultGraph::build_with(&*csr, pattern, &matches, opts);
-                    rank_matches_top_k(&rg, pattern, &matches, k)?
-                } else {
-                    let rg = ResultGraph::build_with(&stored.graph, pattern, &matches, opts);
-                    rank_matches_top_k(&rg, pattern, &matches, k)?
-                }
-            }
+            Some(k) => rank_step(
+                &self.cache,
+                &ev,
+                prefer,
+                &stored.graph,
+                || stored.csr_if_fresh(),
+                pattern,
+                k,
+                threads,
+            )?,
         };
         let rank_time = rank_started.elapsed();
 
         Ok(QueryResponse {
             experts,
-            matches,
-            route,
+            matches: ev.matches,
+            route: ev.route,
             graph_version: stored.graph.version(),
             timings: QueryTimings {
                 evaluate: evaluate_time,
                 rank: rank_time,
                 total: started.elapsed(),
             },
-            plan,
+            plan: ev.plan,
         })
     }
 
@@ -1401,7 +1393,7 @@ impl ExpFinder {
         threads: usize,
         scratch: &mut EvalScratch,
         cancel: Option<&CancelToken>,
-    ) -> Result<(Arc<MatchRelation>, EvalRoute, PlanDecision), ExpFinderError> {
+    ) -> Result<Evaluated, ExpFinderError> {
         // a token that fired before evaluation even started (deadline
         // consumed upstream, or admission-level cancel) aborts here, with
         // zero work to report
@@ -1417,7 +1409,13 @@ impl ExpFinder {
             if let Some(hit) = self.cache.lock().get(&key, &fingerprint) {
                 let plan = PlanDecision::exact(PlanRoute::Cache);
                 self.planner.on_decision(&plan);
-                return Ok((hit, EvalRoute::Cache, plan));
+                return Ok(Evaluated {
+                    matches: hit,
+                    route: EvalRoute::Cache,
+                    plan,
+                    key,
+                    fingerprint,
+                });
             }
 
             // 2. registered incremental state
@@ -1429,7 +1427,13 @@ impl ExpFinder {
                         .put(key, &fingerprint, Arc::clone(&matches));
                     let plan = PlanDecision::exact(PlanRoute::Registered);
                     self.planner.on_decision(&plan);
-                    return Ok((matches, EvalRoute::Registered, plan));
+                    return Ok(Evaluated {
+                        matches,
+                        route: EvalRoute::Registered,
+                        plan,
+                        key,
+                        fingerprint,
+                    });
                 }
             }
         }
@@ -1544,8 +1548,74 @@ impl ExpFinder {
         self.cache
             .lock()
             .put(key, &fingerprint, Arc::clone(&matches));
-        Ok((matches, route, plan))
+        Ok(Evaluated {
+            matches,
+            route,
+            plan,
+            key,
+            fingerprint,
+        })
     }
+}
+
+/// One query's relation as a read path produced it, with the cache key
+/// and fingerprint computed for it once, so that [`rank_step`] finds the
+/// relation's slot without fingerprinting the pattern again.
+pub struct Evaluated {
+    pub matches: Arc<MatchRelation>,
+    pub route: EvalRoute,
+    pub plan: PlanDecision,
+    pub key: CacheKey,
+    pub fingerprint: String,
+}
+
+/// The rank step of both engines' read paths: the best `k` experts of
+/// `ev.matches`, ascending by `(rank, node id)`.
+///
+/// Under `prefer: auto` the ranking stored next to the relation in
+/// `cache` answers `k` when it can ([`QueryCache::get_ranked`]).
+/// Otherwise the result graph is built and ranked, and the list is
+/// stored back ([`QueryCache::put_ranked`]). Other preferences never
+/// read the cache but still store into it, as they do the relation.
+/// `csr` is asked for the CSR snapshot only after a direct evaluation,
+/// which just built or fetched it; a cache, registered or compressed hit
+/// never touched it, and building one merely to rank would cost more
+/// than it saves, so those rank on `graph`.
+#[allow(clippy::too_many_arguments)]
+pub fn rank_step(
+    cache: &Mutex<QueryCache>,
+    ev: &Evaluated,
+    prefer: Route,
+    graph: &DiGraph,
+    csr: impl FnOnce() -> Option<Arc<CsrGraph>>,
+    pattern: &Pattern,
+    k: usize,
+    threads: usize,
+) -> Result<Vec<RankedMatch>, ExpFinderError> {
+    if prefer == Route::Auto {
+        if let Some(experts) = cache.lock().get_ranked(&ev.key, &ev.fingerprint, k) {
+            return Ok(experts);
+        }
+    }
+    let opts = expfinder_core::BuildOptions { threads };
+    let direct = matches!(
+        ev.route,
+        EvalRoute::DirectSimulation | EvalRoute::DirectBounded
+    );
+    let experts = match direct.then(csr).flatten() {
+        Some(csr) => {
+            let rg = ResultGraph::build_with(&*csr, pattern, &ev.matches, opts);
+            rank_matches_top_k(&rg, pattern, &ev.matches, k)?
+        }
+        None => {
+            let rg = ResultGraph::build_with(graph, pattern, &ev.matches, opts);
+            rank_matches_top_k(&rg, pattern, &ev.matches, k)?
+        }
+    };
+    cache
+        .lock()
+        .put_ranked(ev.key, &ev.fingerprint, k, &experts);
+    Ok(experts)
 }
 
 /// Graph names double as catalog file stems (`<name>.efg`, and the

@@ -81,15 +81,15 @@ use crate::wal::{ReplaySummary, Wal};
 use expfinder_compress::{CompressStats, CompressedGraph, CompressionMethod};
 pub use expfinder_core::CancelToken;
 use expfinder_core::{
-    evaluate, rank_matches_top_k, BuildOptions, EvalRequest, EvalScratch, EvalStats, Exec,
-    MatchError, MatchRelation, ResultGraph, ScratchPool, Semantics,
+    evaluate, EvalRequest, EvalScratch, EvalStats, Exec, MatchError, MatchRelation, ScratchPool,
+    Semantics,
 };
 use expfinder_engine::cache::{CacheStats, QueryCache};
 use expfinder_engine::planner::{self, PlannerCounters};
 use expfinder_engine::{
-    validate_graph_name, CancelTotals, CostProfile, EvalRoute, ExecConfig, ExpFinderError,
-    GraphInfo, IndexTotals, PlanContext, PlanDecision, PlanRoute, PlannerTotals, QueryResponse,
-    QuerySpec, QueryTimings, Route, UpdateHook, UpdateReport,
+    rank_step, validate_graph_name, CancelTotals, CostProfile, EvalRoute, Evaluated, ExecConfig,
+    ExpFinderError, GraphInfo, IndexTotals, PlanContext, PlanDecision, PlanRoute, PlannerTotals,
+    QueryResponse, QuerySpec, QueryTimings, Route, UpdateHook, UpdateReport,
 };
 use expfinder_graph::{io as gio, CsrGraph, DiGraph, EdgeUpdate, GraphView, ReachIndex};
 use expfinder_pattern::Pattern;
@@ -854,42 +854,36 @@ impl DurableExpFinder {
         let started = Instant::now();
         let pg = self.published(name)?;
         let snap = pg.snapshot();
-        let (matches, route, plan) =
-            self.eval_snapshot(&pg, &snap, pattern, prefer, threads, scratch, cancel)?;
+        let ev = self.eval_snapshot(&pg, &snap, pattern, prefer, threads, scratch, cancel)?;
         let evaluate_time = started.elapsed();
 
         let rank_started = Instant::now();
         let experts = match top_k {
             None => Vec::new(),
-            Some(k) => {
-                let opts = BuildOptions { threads };
-                let direct = matches!(
-                    route,
-                    EvalRoute::DirectSimulation | EvalRoute::DirectBounded
-                );
-                let csr = if direct { snap.csr_if_built() } else { None };
-                if let Some(csr) = csr {
-                    let rg = ResultGraph::build_with(&*csr, pattern, &matches, opts);
-                    rank_matches_top_k(&rg, pattern, &matches, k)?
-                } else {
-                    let rg = ResultGraph::build_with(&*snap.graph, pattern, &matches, opts);
-                    rank_matches_top_k(&rg, pattern, &matches, k)?
-                }
-            }
+            Some(k) => rank_step(
+                &self.cache,
+                &ev,
+                prefer,
+                &snap.graph,
+                || snap.csr_if_built(),
+                pattern,
+                k,
+                threads,
+            )?,
         };
         let rank_time = rank_started.elapsed();
 
         Ok(QueryResponse {
             experts,
-            matches,
-            route,
+            matches: ev.matches,
+            route: ev.route,
             graph_version: snap.version,
             timings: QueryTimings {
                 evaluate: evaluate_time,
                 rank: rank_time,
                 total: started.elapsed(),
             },
-            plan,
+            plan: ev.plan,
         })
     }
 
@@ -910,7 +904,7 @@ impl DurableExpFinder {
         threads: usize,
         scratch: &mut EvalScratch,
         cancel: Option<&CancelToken>,
-    ) -> Result<(Arc<MatchRelation>, EvalRoute, PlanDecision), ExpFinderError> {
+    ) -> Result<Evaluated, ExpFinderError> {
         // a token that fired before evaluation started aborts here, with
         // zero work to report
         if cancel.is_some_and(|t| t.is_cancelled()) {
@@ -923,7 +917,13 @@ impl DurableExpFinder {
             if let Some(hit) = self.cache.lock().get(&key, &fingerprint) {
                 let plan = PlanDecision::exact(PlanRoute::Cache);
                 self.planner.on_decision(&plan);
-                return Ok((hit, EvalRoute::Cache, plan));
+                return Ok(Evaluated {
+                    matches: hit,
+                    route: EvalRoute::Cache,
+                    plan,
+                    key,
+                    fingerprint,
+                });
             }
             for rv in &snap.registered {
                 if rv.fingerprint == fingerprint {
@@ -933,7 +933,13 @@ impl DurableExpFinder {
                         .put(key, &fingerprint, Arc::clone(&matches));
                     let plan = PlanDecision::exact(PlanRoute::Registered);
                     self.planner.on_decision(&plan);
-                    return Ok((matches, EvalRoute::Registered, plan));
+                    return Ok(Evaluated {
+                        matches,
+                        route: EvalRoute::Registered,
+                        plan,
+                        key,
+                        fingerprint,
+                    });
                 }
             }
         }
@@ -1029,7 +1035,13 @@ impl DurableExpFinder {
         self.cache
             .lock()
             .put(key, &fingerprint, Arc::clone(&matches));
-        Ok((matches, route, plan))
+        Ok(Evaluated {
+            matches,
+            route,
+            plan,
+            key,
+            fingerprint,
+        })
     }
 
     // --------------------------- updates ---------------------------

@@ -293,6 +293,34 @@ fn main() {
         || format!("{frame:?}"),
     );
 
+    // ---- cached ranking: a repeated top_k query is served from the
+    // ranked top-K kept next to the cached relation ----
+    let ranked_body = query_body(FIG1_DSL, Some(1), "auto", false);
+    let first = client.query("fig1", &ranked_body).expect("ranked query");
+    let before = client.metrics().expect("metrics");
+    let again = client
+        .query("fig1", &ranked_body)
+        .expect("repeated ranked query");
+    let after = client.metrics().expect("metrics");
+    let ranked_hits = |m: &Value| i64_at(m, &["engine", "cache", "ranked_hits"]);
+    let experts = |r: &Value| r.field("experts").map(Value::to_string_compact).ok();
+    h.check(
+        "repeated top_k query: ranked_hits +1 exactly, same experts",
+        ranked_hits(&before) >= 0
+            && ranked_hits(&after) == ranked_hits(&before) + 1
+            && experts(&again).is_some()
+            && experts(&again) == experts(&first),
+        || {
+            format!(
+                "ranked_hits {} -> {}; first {} again {}",
+                ranked_hits(&before),
+                ranked_hits(&after),
+                first.to_string_compact(),
+                again.to_string_compact()
+            )
+        },
+    );
+
     // ---- error statuses over the wire ----
     let missing = client.query("ghost", &query_body(FIG1_DSL, None, "auto", false));
     h.check(

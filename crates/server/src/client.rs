@@ -241,9 +241,11 @@ impl Client {
             "Content-Length: {}\r\nConnection: keep-alive\r\n\r\n",
             payload.len()
         ));
+        // head and body in one write: the socket is `TCP_NODELAY`, so two
+        // writes would be two segments
+        head.push_str(&payload);
         stream
             .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(payload.as_bytes()))
             .and_then(|()| stream.flush())
             .map_err(|e| ClientError::Transport(format!("send: {e}")))?;
 
@@ -420,14 +422,14 @@ impl Client {
         let mut w = stream
             .try_clone()
             .map_err(|e| ClientError::Transport(e.to_string()))?;
-        write!(
-            w,
+        let req = format!(
             "POST /graphs/{graph}/subscribe HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
             self.addr,
             payload.len()
-        )
-        .and_then(|()| w.flush())
-        .map_err(|e| ClientError::Transport(format!("send: {e}")))?;
+        );
+        w.write_all(req.as_bytes())
+            .and_then(|()| w.flush())
+            .map_err(|e| ClientError::Transport(format!("send: {e}")))?;
 
         let mut reader = BufReader::new(stream);
         let started = Instant::now();

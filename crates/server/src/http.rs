@@ -332,26 +332,30 @@ impl Response {
 
     /// Serialize onto the wire. `keep_alive` is the connection-level
     /// decision; `self.close` forces `Connection: close` regardless.
+    /// Head and body leave in one `write_all`: on a `TCP_NODELAY`
+    /// socket every separate write is its own syscall and, often, its
+    /// own segment.
     pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> io::Result<()> {
         let conn = if keep_alive && !self.close {
             "keep-alive"
         } else {
             "close"
         };
-        write!(
-            w,
+        let mut out = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len(),
             conn
-        )?;
+        );
         if let Some(secs) = self.retry_after {
-            write!(w, "Retry-After: {secs}\r\n")?;
+            out.push_str(&format!("Retry-After: {secs}\r\n"));
         }
-        w.write_all(b"\r\n")?;
-        w.write_all(&self.body)?;
+        out.push_str("\r\n");
+        let mut out = out.into_bytes();
+        out.extend_from_slice(&self.body);
+        w.write_all(&out)?;
         w.flush()
     }
 }
@@ -369,26 +373,28 @@ pub const MAX_CHUNK_BYTES: usize = 16 * 1024 * 1024;
 /// always close the connection when they end — a subscription consumes
 /// its connection, so there is no keep-alive to negotiate.
 pub fn write_chunked_head(w: &mut impl Write, status: u16, content_type: &str) -> io::Result<()> {
-    write!(
-        w,
+    let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
         status,
         reason(status),
         content_type
-    )?;
+    );
+    w.write_all(head.as_bytes())?;
     w.flush()
 }
 
-/// Write one chunk and flush it to the peer. The subscription protocol
-/// maps one JSON frame to exactly one chunk, so a reader that decodes
-/// chunk-by-chunk never has to scan for frame boundaries. `data` must
-/// not be empty — a zero-length chunk is the stream terminator, written
-/// by [`finish_chunked`].
+/// Write one chunk, size line and payload in one `write_all`, and flush
+/// it to the peer. The subscription protocol maps one JSON frame to
+/// exactly one chunk, so a reader that decodes chunk-by-chunk never has
+/// to scan for frame boundaries. `data` must not be empty — a
+/// zero-length chunk is the stream terminator, written by
+/// [`finish_chunked`].
 pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> io::Result<()> {
     debug_assert!(!data.is_empty(), "empty chunk would terminate the stream");
-    write!(w, "{:x}\r\n", data.len())?;
-    w.write_all(data)?;
-    w.write_all(b"\r\n")?;
+    let mut out = format!("{:x}\r\n", data.len()).into_bytes();
+    out.extend_from_slice(data);
+    out.extend_from_slice(b"\r\n");
+    w.write_all(&out)?;
     w.flush()
 }
 
@@ -666,6 +672,68 @@ mod tests {
         assert!(String::from_utf8(out)
             .unwrap()
             .contains("Connection: close"));
+    }
+
+    /// A `Write` that records every call, to pin how many syscalls a
+    /// socket would see.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_and_chunk_is_one_write() {
+        let doc = expfinder_graph::json::parse(r#"{"ok":true}"#).unwrap();
+        let mut w = CountingWriter::default();
+        Response::json(200, &doc).write_to(&mut w, true).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            w.bytes,
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+              Connection: keep-alive\r\n\r\n{\"ok\":true}"
+        );
+
+        let mut w = CountingWriter::default();
+        Response {
+            close: true,
+            retry_after: Some(1),
+            ..Response::json(503, &doc)
+        }
+        .write_to(&mut w, true)
+        .unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            w.bytes,
+            b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+              Content-Length: 11\r\nConnection: close\r\nRetry-After: 1\r\n\r\n{\"ok\":true}"
+        );
+
+        let mut w = CountingWriter::default();
+        write_chunked_head(&mut w, 200, "application/x-ndjson").unwrap();
+        assert_eq!(w.writes, 1);
+        write_chunk(&mut w, b"{\"frame\":\"hello\"}\n").unwrap();
+        assert_eq!(w.writes, 2);
+        finish_chunked(&mut w).unwrap();
+        assert_eq!(w.writes, 3);
+        assert_eq!(
+            w.bytes,
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+              Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n\
+              12\r\n{\"frame\":\"hello\"}\n\r\n0\r\n\r\n"
+        );
     }
 
     #[test]

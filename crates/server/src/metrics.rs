@@ -367,6 +367,7 @@ impl Metrics {
                     ("misses", Value::Int(cache.misses as i64)),
                     ("evictions", Value::Int(cache.evictions as i64)),
                     ("entries", Value::Int(backend.cache_len() as i64)),
+                    ("ranked_hits", Value::Int(cache.ranked_hits as i64)),
                 ]),
             ),
             (
@@ -619,6 +620,7 @@ mod tests {
         assert_eq!(cache.field("hits").unwrap().as_i64().unwrap(), 1);
         assert_eq!(cache.field("misses").unwrap().as_i64().unwrap(), 1);
         assert_eq!(cache.field("entries").unwrap().as_i64().unwrap(), 1);
+        assert_eq!(cache.field("ranked_hits").unwrap().as_i64().unwrap(), 0);
         let eval = doc.field("engine").unwrap().field("eval").unwrap();
         assert!(eval.field("refreshes").unwrap().as_i64().unwrap() >= 4);
         assert!(eval.field("bfs_nodes_visited").unwrap().as_i64().unwrap() > 0);
@@ -635,5 +637,23 @@ mod tests {
         assert_eq!(planner.field("decisions").unwrap().as_i64().unwrap(), 2);
         assert_eq!(planner.field("overrides").unwrap().as_i64().unwrap(), 0);
         assert_eq!(planner.field("mispredicts").unwrap().as_i64().unwrap(), 0);
+    }
+
+    #[test]
+    fn ranked_hits_exported_apart_from_hits() {
+        let engine = Arc::new(ExpFinder::default());
+        let h = engine
+            .add_graph("g", expfinder_graph::fixtures::collaboration_fig1().graph)
+            .unwrap();
+        let q = expfinder_pattern::fixtures::fig1_pattern();
+        // miss that ranks, then a relation hit whose ranking is cached
+        let first = engine.find_experts(&h, &q, 1).unwrap();
+        let again = engine.find_experts(&h, &q, 1).unwrap();
+        assert_eq!(first.experts, again.experts);
+        let doc = Metrics::default().to_json(&Backend::Local(engine), subs());
+        let cache = doc.field("engine").unwrap().field("cache").unwrap();
+        assert_eq!(cache.field("hits").unwrap().as_i64().unwrap(), 1);
+        assert_eq!(cache.field("misses").unwrap().as_i64().unwrap(), 1);
+        assert_eq!(cache.field("ranked_hits").unwrap().as_i64().unwrap(), 1);
     }
 }

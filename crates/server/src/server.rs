@@ -1,7 +1,7 @@
 //! The multi-threaded serving core: listener, bounded worker pool,
 //! keep-alive connection loop and graceful shutdown.
 //!
-//! Architecture: one acceptor thread polls a non-blocking
+//! Architecture: one acceptor thread blocks in `accept` on the
 //! `TcpListener` and feeds accepted connections into a **bounded**
 //! channel; `workers` threads drain it, each running the keep-alive loop
 //! for one connection at a time. The bound gives natural backpressure —
@@ -11,8 +11,9 @@
 //! the accept loop.
 //!
 //! Graceful shutdown is one `AtomicBool` ([`ServerHandle::shutdown`], or
-//! the `POST /admin/shutdown` endpoint when enabled): the acceptor stops
-//! accepting and closes the listener, workers finish their in-flight
+//! the `POST /admin/shutdown` endpoint when enabled). Setting it also
+//! connects once to the listener, which wakes the blocked acceptor; the
+//! acceptor sees the flag, stops accepting and closes the listener, workers finish their in-flight
 //! request (bounded by the request deadline), answer it with
 //! `Connection: close`, drain any already-accepted connections, and
 //! exit. `shutdown()`/`join()` then join every thread, so when they
@@ -32,8 +33,8 @@ use crate::routes::{self, Dispatch};
 use crate::subscribe::{Subscriber, SubscriptionHub};
 use expfinder_engine::ExpFinder;
 use expfinder_runtime::DurableExpFinder;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::BufReader;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -97,6 +98,9 @@ impl Default for ServerConfig {
 
 /// Shared server state (everything a worker needs).
 pub(crate) struct Inner {
+    /// Where the listener is reachable from this host: the address a
+    /// drain connects to so that the acceptor wakes from `accept`.
+    wake_addr: SocketAddr,
     pub(crate) backend: Backend,
     pub(crate) metrics: Metrics,
     pub(crate) config: ServerConfig,
@@ -110,8 +114,15 @@ impl Inner {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Start the drain. The first call also wakes the acceptor, which
+    /// blocks in `accept`, with one connection of its own; the acceptor
+    /// drops that connection uncounted. Once the acceptor has exited the
+    /// connect is refused at once, and if the accept queue is full the
+    /// acceptor wakes for the connections already queued instead.
     pub(crate) fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, POLL);
+        }
     }
 }
 
@@ -123,8 +134,8 @@ pub struct Server {
     inner: Arc<Inner>,
 }
 
-/// Granularity of the acceptor's shutdown poll and the workers' idle
-/// read timeout: the worst-case extra latency of noticing a drain.
+/// Granularity of the workers' idle read timeout and shutdown poll: the
+/// worst-case extra latency of a worker noticing a drain.
 const POLL: Duration = Duration::from_millis(25);
 
 impl Server {
@@ -159,6 +170,13 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let mut wake_addr = addr;
+        if addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let subs = Arc::new(SubscriptionHub::new(config.subscriber_queue));
         let hook_subs = Arc::clone(&subs);
         backend.install_update_hook(Some(Arc::new(
@@ -170,6 +188,7 @@ impl Server {
             listener,
             addr,
             inner: Arc::new(Inner {
+                wake_addr,
                 backend,
                 metrics: Metrics::default(),
                 config,
@@ -290,11 +309,11 @@ impl Drop for ServerHandle {
 }
 
 fn accept_loop(inner: &Inner, listener: TcpListener, tx: SyncSender<TcpStream>) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    while !inner.draining() {
+    loop {
         match listener.accept() {
+            // the drain's wake connection, or a client that raced it:
+            // either way the server is no longer taking connections
+            Ok(_) if inner.draining() => break,
             Ok((stream, _peer)) => {
                 inner.metrics.connection_opened();
                 // a full queue sheds the connection with 503 instead of
@@ -308,7 +327,9 @@ fn accept_loop(inner: &Inner, listener: TcpListener, tx: SyncSender<TcpStream>) 
                     Err(std::sync::mpsc::TrySendError::Disconnected(_)) => break,
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            Err(_) if inner.draining() => break,
+            // a transient failure (out of descriptors, an aborted
+            // handshake): back off briefly rather than spin
             Err(_) => std::thread::sleep(POLL),
         }
     }
@@ -328,14 +349,12 @@ fn shed_connection(inner: &Inner, mut stream: TcpStream) {
         retry_after: Some(1),
         ..Response::json(503, &body)
     };
-    // one unbuffered write: the request is never read, so dropping the
-    // stream resets the connection, and a reset discards whatever part of
-    // the response is still queued in the kernel (the tail of a burst of
-    // small writes held back by Nagle)
-    let mut bytes = Vec::new();
-    let _ = resp.write_to(&mut bytes, false);
+    // `write_to` sends the whole response in one write: the request is
+    // never read, so dropping the stream resets the connection, and a
+    // reset discards whatever part of the response is still queued in
+    // the kernel (the tail of a burst of small writes held back by Nagle)
     let _ = stream.set_nodelay(true);
-    let _ = stream.write_all(&bytes);
+    let _ = resp.write_to(&mut stream, false);
     inner.metrics.connection_closed();
 }
 

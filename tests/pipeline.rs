@@ -163,6 +163,15 @@ fn ranking_stable_across_routes() {
     };
     assert_eq!(ids(&direct), ids(&via_c));
     assert_eq!(ids(&direct), ids(&via_r));
+
+    // a second call on each engine is served from the cache, ranking
+    // included: same experts
+    for (engine, handle) in [(&plain, &h), (&compressed, &hc), (&registered, &hr)] {
+        let again = engine.find_experts(handle, q, 5).unwrap();
+        assert_eq!(again.outcome.route, EvalRoute::Cache);
+        assert_eq!(ids(&direct), ids(&again));
+        assert_eq!(engine.cache_stats().ranked_hits, 1);
+    }
 }
 
 /// Demo queries Q1–Q3 run end to end on a generated network and produce
